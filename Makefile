@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race vet fmt-check bench-smoke bench-full fuzz-smoke docs-check check clean
+.PHONY: all build test race flake-gate vet fmt-check bench-smoke bench-full fuzz-smoke docs-check check clean
 
 all: check
 
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake gate: ten race-enabled runs of the cluster create-then-write path
+# and of every learner test, so a regression that fails one run in two
+# fails CI instead of slipping through a single pass.
+flake-gate:
+	$(GO) test -race -count=10 -run 'TestClusterMode|Learner' ./cmd/grubd ./internal/server
 
 vet:
 	$(GO) vet ./...
@@ -63,7 +69,7 @@ fuzz-smoke:
 docs-check:
 	$(GO) run ./tools/docscheck
 
-check: build vet fmt-check race bench-smoke docs-check
+check: build vet fmt-check race flake-gate bench-smoke docs-check
 
 clean:
 	$(GO) clean ./...

@@ -11,27 +11,27 @@
 // a restart with the same -data-dir recovers every feed — same keys, same
 // replication decisions going forward, same cumulative Gas.
 //
-// With -follow the daemon runs as a read-only replica of another grubd: it
-// mirrors the leader's feeds, ships their per-shard replication logs
-// (bootstrapping from verified snapshots when behind), and serves the same
-// Merkle-proven reads from the replicated state. Writes answer 403 with a
-// Leader header pointing at the leader (the Go client auto-follows it).
-// Combine with -data-dir for a follower that resumes tailing from its own
-// WAL and cursor after a restart.
-//
-// With -join the daemon runs as one node of a self-routing gateway cluster
-// (internal/cluster): the flag lists the other members' URLs, feeds are
-// placed across nodes by consistent hashing, every node accepts every
+// With -join the daemon runs as one voting node of a self-routing gateway
+// cluster (internal/cluster): the flag lists the other voters' URLs, feeds
+// are placed across voters by consistent hashing, every node accepts every
 // request — non-owners transparently forward writes to the owner and serve
 // verified reads from their local replica — feeds migrate live between
-// nodes (POST /cluster/feeds/{id}/move), and a dead owner's feeds fail
-// over to an anchor-verified successor automatically. -advertise sets the
-// URL the other members reach this node at (defaults to the bound listen
-// address, which only works when that address is routable), and -node-id
-// sets a display name. Combine with -data-dir to persist the node's
-// placement map alongside its feeds. -join and -follow are mutually
-// exclusive: a cluster node is already a replica of every feed it does not
-// own.
+// voters (POST /cluster/feeds/{id}/move), and a dead owner's feeds fail
+// over to an anchor-verified successor automatically. A single voter is
+// -join naming its own -advertise URL. -advertise sets the URL the other
+// members reach this node at (defaults to the bound listen address, which
+// only works when that address is routable), and -node-id sets a display
+// name. Combine with -data-dir to persist the node's placement map
+// alongside its feeds.
+//
+// With -follow the daemon runs as a cluster learner: a non-voting read
+// replica of the voters the flag lists. It heartbeats them to learn
+// placement, tails every feed from its owner (bootstrapping from verified
+// snapshots when behind), and serves the same Merkle-proven reads from the
+// replicated state. It forwards writes to the owner like any non-owner,
+// but it never owns a feed and never counts toward quorum. Combine with
+// -data-dir for a learner that resumes tailing from its own WAL and cursor
+// after a restart. -join and -follow are mutually exclusive.
 //
 // On SIGINT or SIGTERM the daemon shuts down gracefully: it stops accepting
 // connections, finishes in-flight requests, drains every feed worker —
@@ -48,7 +48,7 @@
 // Usage:
 //
 //	grubd [-addr :8080] [-max-body 8388608] [-data-dir /var/lib/grubd]
-//	      [-snapshot-every 256] [-sync-writes] [-follow http://leader:8080]
+//	      [-snapshot-every 256] [-sync-writes] [-follow http://b:8080,...]
 //	      [-join http://b:8080,http://c:8080] [-advertise http://a:8080]
 //	      [-node-id a] [-repl-retain 256] [-slow-ms 0] [-debug-addr addr]
 //	      [-version]
@@ -80,7 +80,6 @@ import (
 	"time"
 
 	"grub/internal/cluster"
-	"grub/internal/repl"
 	"grub/internal/server"
 )
 
@@ -119,11 +118,11 @@ func run(args []string, w io.Writer, onReady func(net.Addr), stop <-chan struct{
 	dataDir := fs.String("data-dir", "", "persist feeds under this directory and recover them on start (empty = in-memory)")
 	snapshotEvery := fs.Int("snapshot-every", 256, "per-shard batches between automatic snapshots (0 = shutdown/explicit only)")
 	syncWrites := fs.Bool("sync-writes", false, "fsync every durable log append")
-	follow := fs.String("follow", "", "replicate from this leader gateway URL and serve read-only (follower mode)")
-	join := fs.String("join", "", "comma-separated peer gateway URLs to form a self-routing cluster with (cluster mode)")
+	follow := fs.String("follow", "", "comma-separated cluster voter URLs to join as a non-voting learner that replicates every feed (read replica)")
+	join := fs.String("join", "", "comma-separated peer voter URLs to form a self-routing cluster with (cluster mode)")
 	advertise := fs.String("advertise", "", "URL the other cluster members reach this node at (default: the bound listen address)")
 	nodeID := fs.String("node-id", "", "cluster display name for this node (default: the advertised URL)")
-	replRetain := fs.Int("repl-retain", 0, "replication log entries retained per shard for followers (0 = default 256; further-behind followers bootstrap from a snapshot)")
+	replRetain := fs.Int("repl-retain", 0, "replication log entries retained per shard for replicas (0 = default 256; further-behind replicas bootstrap from a snapshot)")
 	slowMS := fs.Int("slow-ms", 0, "log one JSON line with the per-stage span breakdown for every write batch slower than this many milliseconds (0 = off)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate listen address (empty = off)")
 	version := fs.Bool("version", false, "print the build version and exit")
@@ -135,23 +134,28 @@ func run(args []string, w io.Writer, onReady func(net.Addr), stop <-chan struct{
 		return nil
 	}
 	if *follow != "" && *join != "" {
-		return fmt.Errorf("-follow and -join are mutually exclusive: a cluster node already replicates every feed it does not own")
+		return fmt.Errorf("-follow and -join are mutually exclusive: a node is either a learner or a voter")
 	}
 	gopts := server.GatewayOptions{DataDir: *dataDir, SnapshotEvery: *snapshotEvery, SyncWrites: *syncWrites, ReplRetain: *replRetain}
 	sc := serveConfig{
-		addr: *addr, maxBody: *maxBody, follow: *follow,
-		join: *join, advertise: *advertise, nodeID: *nodeID,
+		addr: *addr, maxBody: *maxBody, voters: *join, learner: *follow != "",
+		advertise: *advertise, nodeID: *nodeID,
 		slowOp: time.Duration(*slowMS) * time.Millisecond, debugAddr: *debugAddr,
+	}
+	if sc.learner {
+		sc.voters = *follow
 	}
 	return serve(sc, gopts, w, onReady, stop)
 }
 
 // serveConfig carries the HTTP-layer knobs from flag parsing to serve.
 type serveConfig struct {
-	addr      string
-	maxBody   int64
-	follow    string
-	join      string
+	addr    string
+	maxBody int64
+	// voters lists the cluster voters to join (-join) or, for a learner,
+	// to follow (-follow).
+	voters    string
+	learner   bool
 	advertise string
 	nodeID    string
 	slowOp    time.Duration
@@ -187,13 +191,8 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 		return err
 	}
 	hc := server.HandlerConfig{MaxBodyBytes: sc.maxBody, SlowOp: sc.slowOp}
-	var follower *repl.Follower
-	if sc.follow != "" {
-		follower = repl.NewFollower(repl.Options{Leader: sc.follow, Pipeline: g.Pipeline()}, g.ReplTarget())
-		hc.Follower = follower
-	}
 	var node *cluster.Node
-	if sc.join != "" {
+	if sc.voters != "" {
 		// The cluster node needs the bound listener first: with -addr :0
 		// the advertised URL defaults to the ephemeral address.
 		self := sc.advertise
@@ -201,7 +200,7 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 			self = "http://" + ln.Addr().String()
 		}
 		var peers []string
-		for _, p := range strings.Split(sc.join, ",") {
+		for _, p := range strings.Split(sc.voters, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peers = append(peers, p)
 			}
@@ -211,7 +210,7 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 			statePath = filepath.Join(gopts.DataDir, "cluster.json")
 		}
 		node, err = cluster.NewNode(cluster.Options{
-			Self: self, NodeID: sc.nodeID, Peers: peers,
+			Self: self, NodeID: sc.nodeID, Peers: peers, Learner: sc.learner,
 			Local: g.ClusterLocal(), StatePath: statePath,
 			LoadDigest: g.Load().Snapshot,
 		})
@@ -259,10 +258,7 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 		if dbg != nil {
 			dbg.Shutdown(ctx)
 		}
-		// Stop the replication tailers before their target drains.
-		if follower != nil {
-			follower.Close()
-		}
+		// Stop the replication tails before their target drains.
 		if node != nil {
 			node.Close()
 		}
@@ -272,13 +268,13 @@ func serve(sc serveConfig, gopts server.GatewayOptions, w io.Writer, onReady fun
 	if gopts.DataDir != "" {
 		fmt.Fprintf(w, "grubd: persisting feeds under %s (%d recovered)\n", gopts.DataDir, len(g.Feeds()))
 	}
-	if follower != nil {
-		follower.Start()
-		fmt.Fprintf(w, "grubd: following leader %s (read-only replica)\n", follower.Leader())
-	}
 	if node != nil {
 		node.Start()
-		fmt.Fprintf(w, "grubd: cluster node %s (%d members)\n", node.Self(), len(node.Members()))
+		role := "node"
+		if sc.learner {
+			role = "learner"
+		}
+		fmt.Fprintf(w, "grubd: cluster %s %s (%d members)\n", role, node.Self(), len(node.Members()))
 	}
 	if sc.slowOp > 0 {
 		fmt.Fprintf(w, "grubd: logging batches slower than %v\n", sc.slowOp)

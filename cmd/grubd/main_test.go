@@ -238,77 +238,11 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 }
 
-// TestFollowerMode runs a leader and a follower daemon end to end: the
-// follower mirrors the leader's feed, serves it read-only (403 + Leader
-// header on writes, which the client auto-follows), and reports its
-// replication health on /repl/status.
-func TestFollowerMode(t *testing.T) {
-	leaderReady := make(chan net.Addr, 1)
-	leaderStop := make(chan struct{})
-	leaderErr := make(chan error, 1)
-	var leaderBuf, followerBuf bytes.Buffer
-	go func() {
-		leaderErr <- run([]string{"-addr", "127.0.0.1:0"}, &leaderBuf,
-			func(a net.Addr) { leaderReady <- a }, leaderStop)
-	}()
-	leaderURL := "http://" + (<-leaderReady).String()
-
-	followerReady := make(chan net.Addr, 1)
-	followerStop := make(chan struct{})
-	followerErr := make(chan error, 1)
-	go func() {
-		followerErr <- run([]string{"-addr", "127.0.0.1:0", "-follow", leaderURL}, &followerBuf,
-			func(a net.Addr) { followerReady <- a }, followerStop)
-	}()
-	followerURL := "http://" + (<-followerReady).String()
-
-	leaderC := server.NewClient(leaderURL)
-	if err := leaderC.CreateFeed(server.FeedConfig{ID: "f", Shards: 2, EpochOps: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leaderC.Do("f", []server.Op{{Type: "write", Key: "k", Value: []byte("v")}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The follower replicates the feed and serves a verified read.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		res, err := server.NewVerifyingClient(followerURL).Get("f", "k")
-		if err == nil && res.Found && string(res.Record.Value) == "v" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never served the replicated write (last err %v)", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// A write pointed at the follower lands on the leader via the Leader
-	// redirect.
-	if _, err := server.NewClient(followerURL).Do("f", []server.Op{{Type: "write", Key: "k2", Value: []byte("v2")}}); err != nil {
-		t.Fatalf("auto-followed write failed: %v", err)
-	}
-
-	close(followerStop)
-	if err := <-followerErr; err != nil {
-		t.Fatalf("follower returned: %v", err)
-	}
-	close(leaderStop)
-	if err := <-leaderErr; err != nil {
-		t.Fatalf("leader returned: %v", err)
-	}
-	if !bytes.Contains(followerBuf.Bytes(), []byte("following leader")) {
-		t.Errorf("follower banner missing: %q", followerBuf.String())
-	}
-}
-
-// TestClusterMode boots a 2-node cluster via -join: both daemons must
-// banner as cluster nodes, report an enabled quorate cluster on
-// /cluster/status, and route a write from either node to the feed's owner.
-func TestClusterMode(t *testing.T) {
-	// Reserve two ports so each node can name the other in -join before
-	// either is listening.
-	addrs := make([]string, 2)
+// reserveAddrs returns n free loopback addresses, so a node can be named in
+// -join or -follow before it listens.
+func reserveAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -317,6 +251,89 @@ func TestClusterMode(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
+	return addrs
+}
+
+// TestFollowerMode runs a one-voter cluster and a learner daemon end to
+// end: the learner (-follow) mirrors the voter's feed, serves verified
+// reads from its replica, forwards writes to the owner, and reports itself
+// as a learner on /cluster/status.
+func TestFollowerMode(t *testing.T) {
+	voterAddr := reserveAddrs(t, 1)[0]
+	voterURL := "http://" + voterAddr
+	voterReady := make(chan net.Addr, 1)
+	voterStop := make(chan struct{})
+	voterErr := make(chan error, 1)
+	var voterBuf, learnerBuf bytes.Buffer
+	go func() {
+		voterErr <- run([]string{"-addr", voterAddr, "-join", voterURL}, &voterBuf,
+			func(a net.Addr) { voterReady <- a }, voterStop)
+	}()
+	<-voterReady
+
+	learnerReady := make(chan net.Addr, 1)
+	learnerStop := make(chan struct{})
+	learnerErr := make(chan error, 1)
+	go func() {
+		learnerErr <- run([]string{"-addr", "127.0.0.1:0", "-follow", voterURL}, &learnerBuf,
+			func(a net.Addr) { learnerReady <- a }, learnerStop)
+	}()
+	learnerURL := "http://" + (<-learnerReady).String()
+
+	voterC := server.NewClient(voterURL)
+	if err := voterC.CreateFeed(server.FeedConfig{ID: "f", Shards: 2, EpochOps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := voterC.Do("f", []server.Op{{Type: "write", Key: "k", Value: []byte("v")}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The learner replicates the feed and serves a verified read.
+	waitVerifiedRead := func(key, value string) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			res, err := server.NewVerifyingClient(learnerURL).Get("f", key)
+			if err == nil && res.Found && string(res.Record.Value) == value {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("learner never served %s=%s (last err %v)", key, value, err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitVerifiedRead("k", "v")
+
+	// A write pointed at the learner is forwarded to the owner and comes
+	// back through the learner's tail.
+	if _, err := server.NewClient(learnerURL).Do("f", []server.Op{{Type: "write", Key: "k2", Value: []byte("v2")}}); err != nil {
+		t.Fatalf("write via learner failed: %v", err)
+	}
+	waitVerifiedRead("k2", "v2")
+	st, err := (&cluster.Client{}).Status(learnerURL)
+	if err != nil || !st.Learner || !st.Quorum || st.ForwardsTotal != 1 {
+		t.Errorf("learner cluster status = %+v (err %v)", st, err)
+	}
+
+	close(learnerStop)
+	if err := <-learnerErr; err != nil {
+		t.Fatalf("learner returned: %v", err)
+	}
+	close(voterStop)
+	if err := <-voterErr; err != nil {
+		t.Fatalf("voter returned: %v", err)
+	}
+	if !bytes.Contains(learnerBuf.Bytes(), []byte("cluster learner")) {
+		t.Errorf("learner banner missing: %q", learnerBuf.String())
+	}
+}
+
+// TestClusterMode boots a 2-node cluster via -join: both daemons must
+// banner as cluster nodes, report an enabled quorate cluster on
+// /cluster/status, and route a write from either node to the feed's owner.
+func TestClusterMode(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
 	urls := []string{"http://" + addrs[0], "http://" + addrs[1]}
 
 	bufs := make([]bytes.Buffer, 2)

@@ -15,9 +15,9 @@
 // gateway's advertised roots, reporting verified ops/sec and proof bytes
 // per op. A single rejected proof fails the run — the gateway is untrusted
 // on this path. With -replicas the verified readers spread round-robin
-// across follower gateways (grubd -follow) instead of the leader, after
-// waiting for each replica to catch up — the replicated read scale-out
-// path; writes still go to -gateway.
+// across replica gateways (cluster learners, grubd -follow) instead of the
+// gateway, after waiting for each replica to catch up — the replicated
+// read scale-out path; writes still go to -gateway.
 //
 // Usage:
 //
@@ -72,7 +72,7 @@ func run(args []string, w io.Writer) error {
 	records := fs.Int("records", 64, "preloaded records per feed (-load/-verify)")
 	shards := fs.Int("shards", 1, "shards per feed: hash-partition each feed's keyspace (-load/-verify)")
 	reads := fs.Int("reads", 64, "verified reads per client (-verify)")
-	replicas := fs.String("replicas", "", "comma-separated follower URLs to spread verified readers across (-verify)")
+	replicas := fs.String("replicas", "", "comma-separated replica URLs (learners) to spread verified readers across (-verify)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -235,7 +235,7 @@ type verifyConfig struct {
 	policy   string
 	k, epoch int
 	// replicas spreads the verified readers round-robin across these
-	// follower URLs (writes still go to the gateway). Empty = read from
+	// replica URLs (writes still go to the gateway). Empty = read from
 	// the gateway itself.
 	replicas []string
 }

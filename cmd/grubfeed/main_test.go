@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"grub/internal/repl"
+	"grub/internal/cluster"
 	"grub/internal/server"
 )
 
@@ -142,32 +142,39 @@ func TestVerifyStandalone(t *testing.T) {
 	}
 }
 
-// TestVerifyAgainstReplicas spreads the verified readers across follower
-// gateways: an in-process leader takes the writes, two followers replicate
-// them, and every proof verifies against the replicas' advertised roots.
-func TestVerifyAgainstReplicas(t *testing.T) {
-	leader := server.NewGateway()
-	defer leader.Close()
-	leaderSrv := httptest.NewServer(server.NewHandler(leader))
-	defer leaderSrv.Close()
-
-	var replicas []string
-	for i := 0; i < 2; i++ {
-		fg := server.NewGateway()
-		defer fg.Close()
-		f := repl.NewFollower(repl.Options{
-			Leader: leaderSrv.URL,
-			Poll:   2 * time.Millisecond, Refresh: 10 * time.Millisecond,
-		}, fg.ReplTarget())
-		fsrv := httptest.NewServer(server.NewHandlerConfig(fg, server.HandlerConfig{Follower: f}))
-		defer fsrv.Close()
-		f.Start()
-		defer f.Close()
-		replicas = append(replicas, fsrv.URL)
+// serveMember serves a fresh gateway as a cluster member with fast test
+// cadences: a one-voter cluster when voters is empty, else a learner
+// following them. It returns the member's base URL.
+func serveMember(t *testing.T, voters ...string) string {
+	t.Helper()
+	g := server.NewGateway()
+	t.Cleanup(g.Close)
+	srv := httptest.NewUnstartedServer(nil)
+	url := "http://" + srv.Listener.Addr().String()
+	node, err := cluster.NewNode(cluster.Options{
+		Self: url, Peers: voters, Learner: len(voters) > 0, Local: g.ClusterLocal(),
+		Heartbeat: 10 * time.Millisecond, TailPoll: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv.Config.Handler = server.NewHandlerConfig(g, server.HandlerConfig{Cluster: node})
+	srv.Start()
+	t.Cleanup(srv.Close)
+	node.Start()
+	t.Cleanup(node.Close)
+	return url
+}
+
+// TestVerifyAgainstReplicas spreads the verified readers across learners:
+// a one-voter cluster takes the writes, two learners replicate them, and
+// every proof verifies against the replicas' advertised roots.
+func TestVerifyAgainstReplicas(t *testing.T) {
+	leaderURL := serveMember(t)
+	replicas := []string{serveMember(t, leaderURL), serveMember(t, leaderURL)}
 
 	var buf bytes.Buffer
-	args := []string{"-verify", "-gateway", leaderSrv.URL,
+	args := []string{"-verify", "-gateway", leaderURL,
 		"-replicas", strings.Join(replicas, ","),
 		"-clients", "4", "-reads", "8", "-records", "24", "-shards", "2"}
 	if err := run(args, &buf); err != nil {

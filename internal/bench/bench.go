@@ -102,7 +102,7 @@ var Registry = []Experiment{
 	{ID: "shard", Title: "Sharded feed scatter-gather scaling at 1/2/4/8 shards (ops/sec, gas/op)", Run: RunShard},
 	{ID: "persist", Title: "Durable gateway: WAL on/off throughput and recovery time vs log length", Run: RunPersist},
 	{ID: "query", Title: "Authenticated read path: verified-read vs worker-path throughput, proof bytes/op", Run: RunQuery},
-	{ID: "repl", Title: "Replicated gateway: follower catch-up MB/s, verified reads at 1/2/4 followers", Run: RunRepl},
+	{ID: "repl", Title: "Replicated gateway: learner catch-up MB/s, verified reads at 1/2/4 learners", Run: RunRepl},
 	{ID: "cluster", Title: "Self-routing cluster: write ops/sec at 1/2/4 nodes, owner-local vs forwarded write latency", Run: RunCluster},
 	{ID: "publish", Title: "View-publication cost scaling: per-batch publish at 1k vs 100k records", Run: RunPublish},
 	{ID: "kvstore", Title: "Storage engine: bloom miss speedup, record-cache hits, background-compaction write stalls", Run: RunKV},

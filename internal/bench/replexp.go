@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
+	"grub/internal/cluster"
 	"grub/internal/core"
+	"grub/internal/query"
 	"grub/internal/repl"
 	"grub/internal/server"
 	"grub/internal/sim"
@@ -16,12 +19,13 @@ import (
 
 // RunRepl measures the replication subsystem end to end over loopback HTTP:
 //
-//  1. Catch-up: a leader accumulates a write history, then a cold follower
-//     ships the per-shard replication log (anchor-verifying every batch) —
-//     reported as log MB/s and batches/sec until convergence.
+//  1. Catch-up: a one-voter cluster accumulates a write history, then a
+//     cold learner ships the per-shard replication log (anchor-verifying
+//     every batch) — reported as log MB/s and batches/sec until its
+//     anchors equal the voter's.
 //  2. Read scale-out: verified light-client readers (VerifyingClient,
-//     every Merkle proof checked) spread across 1, 2 and 4 followers —
-//     reported as verified ops/sec per follower count, the horizontal
+//     every Merkle proof checked) spread across 1, 2 and 4 learners —
+//     reported as verified ops/sec per learner count, the horizontal
 //     scaling the replication layer exists to buy.
 func RunRepl(cfg Config) error {
 	cfg = cfg.withDefaults()
@@ -32,15 +36,15 @@ func RunRepl(cfg Config) error {
 	readers := cfg.scaled(12, 4)
 	readsPer := cfg.scaled(96, 24)
 
-	// Leader: an in-process gateway sized to retain the whole history in
-	// its replication log, so catch-up measures log shipping (snapshot
+	// Leader: a one-voter cluster whose gateway retains the whole history
+	// in its replication log, so catch-up measures log shipping (snapshot
 	// bootstrap is covered by the subsystem's tests).
 	leaderGW, err := server.NewGatewayWithOptions(server.GatewayOptions{ReplRetain: batches + 16})
 	if err != nil {
 		return err
 	}
 	defer leaderGW.Close()
-	leaderURL, stopLeader, err := serveNode(leaderGW, server.HandlerConfig{})
+	leaderURL, stopLeader, err := serveMember(leaderGW)
 	if err != nil {
 		return err
 	}
@@ -60,7 +64,7 @@ func RunRepl(cfg Config) error {
 		keys[i] = op.Key
 	}
 
-	// Accumulate the history the cold follower will ship.
+	// Accumulate the history the cold learner will ship.
 	r := sim.NewRand(cfg.Seed + 7)
 	wireBytes := 0
 	for b := 0; b < batches; b++ {
@@ -77,43 +81,35 @@ func RunRepl(cfg Config) error {
 	fmt.Fprintf(cfg.W, "repl: %d records, %d shards, %d-batch history (%d ops/batch); %d verified readers x %d reads\n\n",
 		records, shards, batches+1, batchOps, readers, readsPer)
 
-	fopts := repl.Options{Leader: leaderURL, Poll: 2 * time.Millisecond, Refresh: 10 * time.Millisecond, MaxBatches: 128}
 	type node struct {
-		follower *repl.Follower
-		gw       *server.Gateway
-		url      string
-		stop     func()
+		gw   *server.Gateway
+		url  string
+		stop func()
 	}
 	var nodes []node
 	defer func() {
 		for _, n := range nodes {
 			n.stop()
-			n.follower.Close()
 			n.gw.Close()
 		}
 	}()
 
-	startFollower := func() (node, error) {
+	// startLearner adds one learner and waits until it serves the voter's
+	// exact anchors.
+	startLearner := func() error {
 		gw := server.NewGateway()
-		f := repl.NewFollower(fopts, gw.ReplTarget())
-		url, stop, err := serveNode(gw, server.HandlerConfig{Follower: f})
+		url, stop, err := serveMember(gw, leaderURL)
 		if err != nil {
 			gw.Close()
-			return node{}, err
+			return err
 		}
-		f.Start()
-		n := node{follower: f, gw: gw, url: url, stop: stop}
-		nodes = append(nodes, n)
-		return n, nil
+		nodes = append(nodes, node{gw: gw, url: url, stop: stop})
+		return waitCaughtUp(leaderGW, gw, feedID, 60*time.Second)
 	}
 
 	// Phase 1: cold catch-up.
 	start := time.Now()
-	first, err := startFollower()
-	if err != nil {
-		return err
-	}
-	if err := first.follower.WaitConverged(60 * time.Second); err != nil {
+	if err := startLearner(); err != nil {
 		return err
 	}
 	catchUp := time.Since(start)
@@ -124,16 +120,12 @@ func RunRepl(cfg Config) error {
 	cfg.metric("repl.catchup.MBps", mbps)
 	cfg.metric("repl.catchup.batchesPerSec", batchesPerSec)
 
-	// Phase 2: verified-read throughput at 1, 2 and 4 followers.
-	fmt.Fprintf(cfg.W, "%-12s %12s %12s %14s\n", "followers", "verified", "elapsed", "ops/sec")
+	// Phase 2: verified-read throughput at 1, 2 and 4 learners.
+	fmt.Fprintf(cfg.W, "%-12s %12s %12s %14s\n", "learners", "verified", "elapsed", "ops/sec")
 	var rates []float64
 	for _, count := range []int{1, 2, 4} {
 		for len(nodes) < count {
-			n, err := startFollower()
-			if err != nil {
-				return err
-			}
-			if err := n.follower.WaitConverged(60 * time.Second); err != nil {
+			if err := startLearner(); err != nil {
 				return err
 			}
 		}
@@ -151,7 +143,7 @@ func RunRepl(cfg Config) error {
 	}
 	if len(rates) == 3 && rates[0] > 0 {
 		scale := rates[2] / rates[0]
-		fmt.Fprintf(cfg.W, "\nverified reads scale %.2fx from 1 to 4 followers (every proof client-checked)\n", scale)
+		fmt.Fprintf(cfg.W, "\nverified reads scale %.2fx from 1 to 4 learners (every proof client-checked)\n", scale)
 		cfg.metric("repl.verified.scale4f", scale)
 	}
 	return nil
@@ -197,13 +189,48 @@ func verifiedReadRun(urls []string, feedID string, keys []string, readers, reads
 	return float64(verified) / elapsed.Seconds(), verified, elapsed, nil
 }
 
-// serveNode exposes a gateway over loopback HTTP and returns its base URL.
-func serveNode(g *server.Gateway, hc server.HandlerConfig) (string, func(), error) {
+// serveMember serves g over loopback HTTP as a cluster member with bench
+// cadences: a voter when voters is empty (a one-voter cluster), else a
+// learner following them. It returns the member's base URL.
+func serveMember(g *server.Gateway, voters ...string) (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: server.NewHandlerConfig(g, hc)}
+	url := "http://" + ln.Addr().String()
+	node, err := cluster.NewNode(cluster.Options{
+		Self: url, Peers: voters, Learner: len(voters) > 0, Local: g.ClusterLocal(),
+		Heartbeat: 10 * time.Millisecond, TailPoll: 2 * time.Millisecond,
+	})
+	if err != nil {
+		ln.Close()
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: server.NewHandlerConfig(g, server.HandlerConfig{Cluster: node})}
 	go srv.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
+	node.Start()
+	return url, func() { node.Close(); srv.Close() }, nil
+}
+
+// waitCaughtUp blocks until replica serves the leader's exact per-shard
+// anchors for feed.
+func waitCaughtUp(leader, replica *server.Gateway, feed string, timeout time.Duration) error {
+	for deadline := time.Now().Add(timeout); ; time.Sleep(time.Millisecond) {
+		if want, err := roots(leader, feed); err == nil && want != nil {
+			if got, err := roots(replica, feed); err == nil && slices.Equal(got, want) {
+				return nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("bench: replica of %q not caught up within %v", feed, timeout)
+		}
+	}
+}
+
+func roots(g *server.Gateway, feed string) ([]query.RootInfo, error) {
+	e, err := g.Query(feed)
+	if err != nil {
+		return nil, err
+	}
+	return e.Roots()
 }

@@ -21,22 +21,28 @@
 //     set. A minority partition (including a deposed owner that has not yet
 //     heard of its succession) fences itself instead of forking — the CP
 //     choice.
-//   - State transfer is never trusted: followers tail the owner's
+//   - State transfer is never trusted: non-owners tail the owner's
 //     replication log verifying every batch against the owner's post-apply
 //     (seq, root, count) anchors (internal/repl), failover candidates prove
 //     against the surviving nodes' anchors that they are not behind before
 //     promoting, and migration flips ownership only once the target's
 //     anchors equal the fenced source's exactly.
 //
-// The ring (consistent hashing over the static member URLs) supplies only
+// The ring (consistent hashing over the static voter URLs) supplies only
 // defaults and the failover order — which node a new feed lands on, and who
 // is next in line when an owner dies. The placement map is authoritative.
+//
+// A learner (Options.Learner) is a non-voting member: a read replica that
+// heartbeats the voters to learn placement and tails every feed from its
+// owner, but is on no ring and counts toward no quorum, so it never owns a
+// feed. Voters need not know their learners.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,10 +100,15 @@ type Options struct {
 	// NodeID is a display name (default: Self).
 	NodeID string
 	// Peers are the other members' base URLs (the static seed list; Self
-	// is filtered out if present). Every member must be given the same
-	// full list — membership is static, which is what makes the quorum
-	// rule and the failover order deterministic.
+	// is filtered out if present). Every voter must be given the same
+	// full voter list — membership is static, which is what makes the
+	// quorum rule and the failover order deterministic.
 	Peers []string
+	// Learner makes this node a non-voting read replica of the voters
+	// listed in Peers: it is left out of its own ring, quorum count and
+	// failover order, so it never claims, owns or is promoted to a feed,
+	// and it is not a Move target.
+	Learner bool
 	// Local is the co-located gateway.
 	Local Local
 	// StatePath persists the placement map ("" = memory only); a restart
@@ -163,6 +174,7 @@ type tailState struct {
 type Node struct {
 	opts    Options
 	members []string // sorted, includes Self
+	voters  []string // members minus Self on a learner
 	ring    *Ring
 	pm      *Map
 	local   Local
@@ -202,6 +214,13 @@ func NewNode(opts Options) (*Node, error) {
 		members = append(members, p)
 	}
 	sort.Strings(members)
+	voters := members
+	if opts.Learner {
+		voters = slices.DeleteFunc(slices.Clone(members), func(m string) bool { return m == opts.Self })
+		if len(voters) == 0 {
+			return nil, errors.New("cluster: a learner needs at least one voter in Options.Peers")
+		}
+	}
 	pm, err := NewMap(opts.StatePath)
 	if err != nil {
 		return nil, err
@@ -209,7 +228,8 @@ func NewNode(opts Options) (*Node, error) {
 	return &Node{
 		opts:       opts,
 		members:    members,
-		ring:       NewRing(members),
+		voters:     voters,
+		ring:       NewRing(voters),
 		pm:         pm,
 		local:      opts.Local,
 		client:     &Client{HTTP: opts.HTTP},
@@ -316,16 +336,16 @@ func (n *Node) alive(url string) bool {
 }
 
 // hasQuorum reports whether this node can see a strict majority of the
-// static member set (counting itself). Writes and failover promotions
-// require it; a single-node cluster trivially has it.
+// static voter set (counting itself unless it is a learner). Writes and
+// failover promotions require it; a single-voter cluster trivially has it.
 func (n *Node) hasQuorum() bool {
 	alive := 0
-	for _, m := range n.members {
+	for _, m := range n.voters {
 		if n.alive(m) {
 			alive++
 		}
 	}
-	return alive*2 > len(n.members)
+	return alive*2 > len(n.voters)
 }
 
 // heartbeatOnce exchanges heartbeats (and placement maps) with every peer

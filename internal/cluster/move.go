@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -16,7 +17,8 @@ type MoveResult struct {
 // Move live-migrates a feed this node owns to target:
 //
 //  1. Wait for the target to host a replica (its tail bootstraps from a
-//     verified snapshot and tails our replication log like any follower).
+//     verified snapshot and tails our replication log like any replica).
+//     Only voters are targets: a learner never owns a feed.
 //  2. Fence: bump the feed's epoch with Fenced set — new writes get 503 +
 //     Retry-After, in-flight applies drain.
 //  3. Converge: wait until the target's per-shard anchors equal our own,
@@ -33,14 +35,7 @@ func (n *Node) Move(feed, target string) (MoveResult, error) {
 		e, _ := n.pm.Get(feed)
 		return MoveResult{Feed: feed, From: n.opts.Self, To: target, Epoch: e.Epoch}, nil
 	}
-	member := false
-	for _, m := range n.members {
-		if m == target {
-			member = true
-			break
-		}
-	}
-	if !member {
+	if !slices.Contains(n.voters, target) {
 		return MoveResult{}, fmt.Errorf("%w: %s", ErrUnknownMember, target)
 	}
 	if !n.alive(target) {

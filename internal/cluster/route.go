@@ -36,10 +36,22 @@ type Route struct {
 // local replica.
 func (n *Node) RouteWrite(feed string, reqEpoch uint64, forwarded bool) Route {
 	e, ok := n.pm.Get(feed)
+	if !ok && !forwarded {
+		// Unknown to our map: the feed may have just been created on its
+		// ring owner, which claimed it before our next heartbeat. Send the
+		// write where PlaceFeed put it; that node answers (and 404s a feed
+		// nobody hosts).
+		owner := n.ring.Owner(feed, n.alive)
+		if owner == "" {
+			return Route{Kind: RouteUnavailable, Reason: "no alive voter to route an unplaced feed to"}
+		}
+		if owner != n.opts.Self {
+			return Route{Kind: RouteForward, Owner: owner}
+		}
+	}
 	if !ok || e.Deleted {
-		// Unknown to the map (or tombstoned): let the local gateway answer
-		// — it 404s feeds it does not host, and the create path places new
-		// feeds explicitly via PlaceFeed/ClaimFeed.
+		// Tombstoned, forwarded to us unplaced, or ours by the ring: let
+		// the local gateway answer — it 404s feeds it does not host.
 		return Route{Kind: RouteLocal, Epoch: e.Epoch}
 	}
 	if reqEpoch > e.Epoch {

@@ -3,9 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"grub/internal/obs"
 	"grub/internal/query"
 	"grub/internal/repl"
 )
@@ -18,6 +20,7 @@ func (stubLocal) Feed(string) (repl.Feed, error)           { return nil, errors.
 func (stubLocal) Feeds() []string                          { return nil }
 func (stubLocal) Anchors(string) ([]query.RootInfo, error) { return nil, errors.New("stub") }
 func (stubLocal) CloseFeed(string) error                   { return nil }
+func (stubLocal) Pipeline() *obs.Pipeline                  { return nil }
 
 func routeTestNode(t *testing.T, self string, peers ...string) *Node {
 	t.Helper()
@@ -33,9 +36,27 @@ func TestRouteWrite(t *testing.T) {
 	// Quorum needs 2 of 3: pretend b answered a heartbeat just now.
 	n.markAlive("http://b")
 
-	// Unknown feed: local (the gateway 404s or the create path places it).
-	if rt := n.RouteWrite("nope", 0, false); rt.Kind != RouteLocal {
-		t.Fatalf("unknown feed: %+v", rt)
+	// Unknown feed: routed to its ring owner, where PlaceFeed would have
+	// created it — a write racing the create's placement heartbeat must
+	// not 404 on a non-owner. Already forwarded (or ours by the ring), it
+	// goes local, where the gateway 404s feeds it does not host.
+	var mineByRing, theirsByRing string
+	for i := 0; mineByRing == "" || theirsByRing == ""; i++ {
+		id := fmt.Sprintf("new%d", i)
+		if n.ring.Owner(id, n.alive) == "http://a" {
+			mineByRing = id
+		} else if n.ring.Owner(id, n.alive) == "http://b" {
+			theirsByRing = id
+		}
+	}
+	if rt := n.RouteWrite(theirsByRing, 0, false); rt.Kind != RouteForward || rt.Owner != "http://b" {
+		t.Fatalf("unknown feed owned by a peer's ring point: %+v", rt)
+	}
+	if rt := n.RouteWrite(theirsByRing, 0, true); rt.Kind != RouteLocal {
+		t.Fatalf("forwarded unknown feed: %+v", rt)
+	}
+	if rt := n.RouteWrite(mineByRing, 0, false); rt.Kind != RouteLocal {
+		t.Fatalf("unknown feed owned by our ring point: %+v", rt)
 	}
 
 	n.pm.Merge(Entry{Feed: "mine", Owner: "http://a", Epoch: 2})

@@ -33,6 +33,7 @@ type Status struct {
 	Enabled        bool            `json:"enabled"`
 	NodeID         string          `json:"nodeId,omitempty"`
 	Self           string          `json:"self,omitempty"`
+	Learner        bool            `json:"learner,omitempty"`
 	Epoch          uint64          `json:"epoch,omitempty"`
 	Quorum         bool            `json:"quorum,omitempty"`
 	Members        []MemberStatus  `json:"members,omitempty"`
@@ -50,6 +51,7 @@ func (n *Node) Status() Status {
 		Enabled:        true,
 		NodeID:         n.opts.NodeID,
 		Self:           n.opts.Self,
+		Learner:        n.opts.Learner,
 		Epoch:          n.pm.Epoch(),
 		Quorum:         n.hasQuorum(),
 		ForwardsTotal:  n.forwards.Load(),

@@ -1,22 +1,27 @@
 package repl_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"grub/internal/cluster"
 	"grub/internal/repl"
 	"grub/internal/server"
 )
 
 // swapHandler is a stable HTTP front whose backing handler can be swapped
 // atomically — it models a leader process dying and restarting at the same
-// address (new gateway, same URL), which is what the followers' resume
+// address (new gateway, same URL), which is what the learners' resume
 // logic has to survive.
 type swapHandler struct {
 	h atomic.Pointer[http.Handler]
@@ -34,17 +39,81 @@ var downHandler http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *h
 	http.Error(w, `{"error":"leader down"}`, http.StatusServiceUnavailable)
 })
 
+// tamperTransport flips one byte in every log page it carries: a
+// compromised owner (or network path) that keeps shipping corrupted
+// batches. It sits in a learner's cluster.Options.HTTP, because placement
+// names the real owner URL.
+type tamperTransport struct{ next http.RoundTripper }
+
+func (tt tamperTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := tt.next.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasSuffix(req.URL.Path, "/log") {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var page repl.LogPage
+	if json.Unmarshal(body, &page) == nil && flipFirstWrite(&page) {
+		body, _ = json.Marshal(page)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	return resp, nil
+}
+
+// startLearner serves a fresh gateway as a cluster learner of the voter at
+// voterURL, with fast test cadences; httpc (nil = default) carries its
+// heartbeats and tails.
+func startLearner(t *testing.T, voterURL string, httpc *http.Client) (*server.Gateway, *cluster.Node, string) {
+	t.Helper()
+	g, _ := startGateway(t, server.GatewayOptions{})
+	srv := httptest.NewUnstartedServer(nil)
+	url := "http://" + srv.Listener.Addr().String()
+	node, err := cluster.NewNode(cluster.Options{
+		Self: url, Peers: []string{voterURL}, Learner: true, Local: g.ClusterLocal(),
+		Heartbeat: 10 * time.Millisecond, TailPoll: 2 * time.Millisecond, HTTP: httpc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Config.Handler = server.NewHandlerConfig(g, server.HandlerConfig{Cluster: node})
+	srv.Start()
+	t.Cleanup(srv.Close)
+	node.Start()
+	t.Cleanup(node.Close)
+	return g, node, url
+}
+
+// tailHalted reports whether the node's tail of feed halted on a detected
+// divergence.
+func tailHalted(node *cluster.Node, feed string) bool {
+	for _, fp := range node.Status().Feeds {
+		if fp.Feed == feed && fp.Tail != nil {
+			for _, ss := range fp.Tail.Shards {
+				if ss.State == repl.StateHalted && strings.Contains(ss.Error, "diverged") {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // TestReplicatedGatewayEndToEnd is the acceptance run for the replication
 // subsystem, race-enabled like every test in this repo:
 //
-//   - one durable leader, two followers, sustained concurrent writes;
-//   - 32 VerifyingClient readers split across the two followers, every
+//   - one durable voter (a one-voter cluster), two learners, sustained
+//     concurrent writes;
+//   - 32 VerifyingClient readers split across the two learners, every
 //     Merkle proof client-checked against pinned anchors;
-//   - the leader process is killed mid-load and restarted from its data
-//     directory at the same address; the followers resume tailing;
+//   - the voter process is killed mid-load and restarted from its data
+//     directory at the same address; the learners resume tailing;
 //   - when the dust settles, the per-shard (seq, root, count) anchors on
 //     all three nodes are identical;
-//   - a third follower fed through a byte-flipping path is caught by the
+//   - a third learner whose transport flips log bytes is caught by the
 //     anchor check and halts instead of serving a forked state.
 func TestReplicatedGatewayEndToEnd(t *testing.T) {
 	const (
@@ -58,37 +127,47 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	gopts := server.GatewayOptions{DataDir: dir, SnapshotEvery: 8}
 
-	leader, err := server.NewGatewayWithOptions(gopts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	front := &swapHandler{}
-	front.set(server.NewHandler(leader))
+	front.set(downHandler)
 	srv := httptest.NewServer(front)
 	t.Cleanup(srv.Close)
 	leaderURL := srv.URL
+	// startLeader recovers the voter from its data directory, placement
+	// map included, and puts it behind the stable front.
+	startLeader := func() (*server.Gateway, *cluster.Node) {
+		g, err := server.NewGatewayWithOptions(gopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := cluster.NewNode(cluster.Options{
+			Self: leaderURL, Local: g.ClusterLocal(), StatePath: filepath.Join(dir, "cluster.json"),
+			Heartbeat: 10 * time.Millisecond, TailPoll: 2 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front.set(server.NewHandlerConfig(g, server.HandlerConfig{Cluster: node}))
+		node.Start()
+		return g, node
+	}
+	leader, leaderNode := startLeader()
 
 	admin := server.NewClient(leaderURL)
 	if err := admin.CreateFeed(server.FeedConfig{ID: feedID, Shards: shards, EpochOps: 4}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Two followers, each serving the authenticated read path read-only.
+	// Two learners, each serving the authenticated read path from its
+	// replica.
 	type fnode struct {
 		gw  *server.Gateway
-		f   *repl.Follower
 		url string
 	}
-	startFollower := func() fnode {
-		fg, _ := startGateway(t, server.GatewayOptions{})
-		f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
-		fsrv := httptest.NewServer(server.NewHandlerConfig(fg, server.HandlerConfig{Follower: f}))
-		t.Cleanup(fsrv.Close)
-		f.Start()
-		t.Cleanup(f.Close)
-		return fnode{gw: fg, f: f, url: fsrv.URL}
+	startReplica := func() fnode {
+		g, _, url := startLearner(t, leaderURL, nil)
+		return fnode{gw: g, url: url}
 	}
-	f1, f2 := startFollower(), startFollower()
+	f1, f2 := startReplica(), startReplica()
 
 	// Sustained writes: each writer retries through the leader outage, so
 	// the full history lands eventually.
@@ -121,15 +200,15 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 		}(wi)
 	}
 
-	// Both followers must have discovered and created the feed before the
+	// Both learners must have discovered and created the feed before the
 	// readers aim at them.
-	waitFor(t, "followers discover the feed", func() bool {
+	waitFor(t, "learners discover the feed", func() bool {
 		_, e1 := f1.gw.Query(feedID)
 		_, e2 := f2.gw.Query(feedID)
 		return e1 == nil && e2 == nil
 	})
 
-	// 32 verifying light clients split across the two followers; every
+	// 32 verifying light clients split across the two learners; every
 	// proof is re-verified against pinned per-shard anchors, a rejection
 	// fails the run.
 	stopReaders := make(chan struct{})
@@ -175,28 +254,26 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 	// Let load build, then kill the leader process mid-flight.
 	waitFor(t, "pre-kill load", func() bool { return written.Load() >= 8 })
 	front.set(downHandler)
+	leaderNode.Close()
 	leader.Kill()
 
-	// The outage is visible to the followers (they keep serving reads the
+	// The outage is visible to the learners (they keep serving reads the
 	// whole time — that is the warm-standby story).
 	time.Sleep(30 * time.Millisecond)
 
-	// Restart: recover the gateway from its data directory at the same
-	// address.
-	leader2, err := server.NewGatewayWithOptions(gopts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Restart: recover the gateway and its placement from the data
+	// directory at the same address.
+	leader2, leaderNode2 := startLeader()
 	t.Cleanup(leader2.Close)
-	front.set(server.NewHandler(leader2))
+	t.Cleanup(leaderNode2.Close)
 
 	writersWG.Wait() // every batch eventually landed
 	if got := written.Load(); got < writers*batchesPer {
 		t.Fatalf("only %d batches written", got)
 	}
 
-	// Followers resume tailing and converge to the restarted leader's
-	// exact anchors.
+	// Learners resume tailing and converge to the restarted voter's exact
+	// anchors.
 	deadline := time.Now().Add(waitTimeout)
 	for !(rootsMatch(feedID, leader2, f1.gw) && rootsMatch(feedID, leader2, f2.gw)) {
 		if time.Now().After(deadline) {
@@ -215,43 +292,25 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 	}
 	assertSameRoots(t, feedID, leader2, f1.gw)
 	assertSameRoots(t, feedID, leader2, f2.gw)
-	t.Logf("e2e: %d batches written, %d reads verified across 2 followers through a leader restart",
+	t.Logf("e2e: %d batches written, %d reads verified across 2 learners through a voter restart",
 		written.Load(), verified.Load())
 
-	// A third follower fed through a tampering path: the flipped batch
-	// byte must be caught by the anchor check; the shard halts and the
-	// node keeps serving its last verified (here: empty) state — never
+	// A third learner whose transport flips a byte in every log page: the
+	// anchor check must catch it; the shard halts (the one verified reset
+	// the cluster allows per epoch meets the same tampering and halts
+	// again) and the node keeps serving its last verified state — never
 	// the fork.
-	tp := &tamperOnce{next: front}
-	tp.arm()
-	tsrv := httptest.NewServer(tp)
-	t.Cleanup(tsrv.Close)
-	fg3, _ := startGateway(t, server.GatewayOptions{})
-	f3 := repl.NewFollower(fastOpts(tsrv.URL), fg3.ReplTarget())
-	f3.Start()
-	t.Cleanup(f3.Close)
+	fg3, n3, _ := startLearner(t, leaderURL, &http.Client{
+		Timeout: 5 * time.Second, Transport: tamperTransport{http.DefaultTransport},
+	})
 
 	// The cold node may bootstrap straight to the tip via a (tamper-proof,
 	// anchor-verified) snapshot; keep writing so fresh log pages flow
 	// through the tampering path until the flipped byte lands.
-	halted3 := func() bool {
-		feeds, _ := f3.Status()
-		for _, fs := range feeds {
-			if fs.ID == feedID && fs.State == repl.StateHalted {
-				for _, ss := range fs.Shards {
-					if ss.State == repl.StateHalted && strings.Contains(ss.Error, "diverged") {
-						return true
-					}
-				}
-			}
-		}
-		return false
-	}
 	deadline = time.Now().Add(waitTimeout)
-	for i := 0; !halted3(); i++ {
+	for i := 0; !tailHalted(n3, feedID); i++ {
 		if time.Now().After(deadline) {
-			feeds, _ := f3.Status()
-			t.Fatalf("tampered follower never halted: %+v", feeds)
+			t.Fatalf("tampered learner never halted: %+v", n3.Status().Feeds)
 		}
 		ops := []server.Op{{Type: "write", Key: fmt.Sprintf("w0-k%03d", i%96), Value: []byte(fmt.Sprintf("tamper-bait-%d", i))}}
 		if _, err := admin.Do(feedID, ops); err != nil {
@@ -272,7 +331,7 @@ func TestReplicatedGatewayEndToEnd(t *testing.T) {
 		}
 	}
 	if halted == 0 {
-		t.Error("tampered follower caught up fully — the flipped byte was not refused")
+		t.Error("tampered learner caught up fully — the flipped byte was not refused")
 	}
 }
 

@@ -17,13 +17,61 @@ import (
 
 const waitTimeout = 30 * time.Second
 
-// fastOpts keeps test followers snappy.
+// fastOpts keeps test tails snappy.
 func fastOpts(leaderURL string) repl.Options {
 	return repl.Options{
 		Leader: leaderURL,
-		Poll:   2 * time.Millisecond, Refresh: 10 * time.Millisecond,
+		Poll:   2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
 		MaxBatches: 8,
 	}
+}
+
+// startTail starts a FeedTail replicating feed id from leaderURL into g.
+func startTail(t *testing.T, leaderURL string, g *server.Gateway, id string) *repl.FeedTail {
+	t.Helper()
+	ft := repl.NewFeedTail(fastOpts(leaderURL), g.ClusterLocal(), id)
+	ft.Start()
+	t.Cleanup(ft.Close)
+	return ft
+}
+
+// waitStatus polls the tail's status until cond holds.
+func waitStatus(t *testing.T, ft *repl.FeedTail, what string, cond func(repl.FeedStatus) bool) {
+	t.Helper()
+	deadline := time.Now().Add(waitTimeout)
+	for {
+		fs := ft.Status()
+		if cond(fs) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, fs)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// converged reports whether every shard of the feed is tailing with zero
+// observed lag.
+func converged(fs repl.FeedStatus) bool {
+	if fs.State != repl.StateTailing || len(fs.Shards) == 0 {
+		return false
+	}
+	for _, ss := range fs.Shards {
+		if ss.State != repl.StateTailing || ss.Lag != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func waitConverged(t *testing.T, ft *repl.FeedTail) {
+	t.Helper()
+	waitStatus(t, ft, "convergence", converged)
+}
+
+func inState(state string) func(repl.FeedStatus) bool {
+	return func(fs repl.FeedStatus) bool { return fs.State == state }
 }
 
 // startGateway serves a gateway over a test HTTP server.
@@ -119,10 +167,10 @@ func waitSameRoots(t *testing.T, id string, leader, follower *server.Gateway) {
 	assertSameRoots(t, id, leader, follower)
 }
 
-// TestFollowerCatchUpAndTail covers the main path: a cold follower mirrors
-// the leader's feeds (existing history and live writes), discovers feeds
-// created after it started, and marks feeds deleted on the leader as gone
-// without deleting local state.
+// TestFollowerCatchUpAndTail covers the main path: a cold tail mirrors its
+// feed (existing history and live writes), a tail started before its feed
+// exists arms once the leader creates it, and a feed deleted on the leader
+// is marked gone without deleting local state.
 func TestFollowerCatchUpAndTail(t *testing.T) {
 	leader, leaderURL := startGateway(t, server.GatewayOptions{})
 	if err := leader.CreateFeed(server.FeedConfig{ID: "alpha", Shards: 4, EpochOps: 8}); err != nil {
@@ -131,78 +179,43 @@ func TestFollowerCatchUpAndTail(t *testing.T) {
 	writeBatches(t, leader, "alpha", 10, 0)
 
 	fg, _ := startGateway(t, server.GatewayOptions{})
-	f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
-	f.Start()
-	t.Cleanup(f.Close)
-
-	if err := f.WaitConverged(waitTimeout); err != nil {
-		t.Fatal(err)
-	}
+	alpha := startTail(t, leaderURL, fg, "alpha")
+	waitConverged(t, alpha)
 	waitSameRoots(t, "alpha", leader, fg)
 
 	// Live tail: more writes after convergence.
 	writeBatches(t, leader, "alpha", 6, 10)
 	waitSameRoots(t, "alpha", leader, fg)
 
-	// A feed created on the leader mid-flight is discovered and
-	// replicated.
+	// A tail whose feed the leader does not host yet parks as gone, then
+	// arms and replicates once the feed is created.
+	beta := startTail(t, leaderURL, fg, "beta")
+	waitStatus(t, beta, "beta gone before creation", inState(repl.StateGone))
 	if err := leader.CreateFeed(server.FeedConfig{ID: "beta", Shards: 2, EpochOps: 8}); err != nil {
 		t.Fatal(err)
 	}
 	writeBatches(t, leader, "beta", 4, 0)
 	waitSameRoots(t, "beta", leader, fg)
 
-	// Deleting beta on the leader marks it gone on the follower; the
+	// Deleting beta on the leader marks it gone on the replica; the
 	// replicated state stays readable locally.
 	if err := leader.CloseFeed("beta"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(waitTimeout)
-	for {
-		feeds, _ := f.Status()
-		gone := false
-		for _, fs := range feeds {
-			if fs.ID == "beta" && fs.State == repl.StateGone {
-				gone = true
-			}
-		}
-		if gone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("beta never marked gone: %+v", feeds)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitStatus(t, beta, "beta gone after delete", inState(repl.StateGone))
 	if _, err := fg.Query("beta"); err != nil {
 		t.Errorf("gone feed's local state should stay readable: %v", err)
 	}
 
-	// Recreating beta on the leader resumes replication instead of leaving
+	// Recreating beta on the leader re-arms the tail instead of leaving
 	// it parked as gone. The leader's fresh history restarts at seq 0
-	// while the follower's retained beta is ahead, so the tailers halt
+	// while the replica's retained beta is ahead, so the tailers halt
 	// with a clear divergence (the operator deletes the stale local feed)
 	// — the point is the feed is watched again, not silently stuck.
 	if err := leader.CreateFeed(server.FeedConfig{ID: "beta", Shards: 2, EpochOps: 8}); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(waitTimeout)
-	for {
-		feeds, _ := f.Status()
-		var betaState string
-		for _, fs := range feeds {
-			if fs.ID == "beta" {
-				betaState = fs.State
-			}
-		}
-		if betaState == repl.StateHalted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recreated beta never resumed tracking: %+v", feeds)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitStatus(t, beta, "recreated beta re-armed", inState(repl.StateHalted))
 }
 
 // TestFollowerSnapshotBootstrap starts a follower against a leader whose
@@ -216,12 +229,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	writeBatches(t, leader, "deep", 20, 0)
 
 	fg, _ := startGateway(t, server.GatewayOptions{})
-	f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
-	f.Start()
-	t.Cleanup(f.Close)
-	if err := f.WaitConverged(waitTimeout); err != nil {
-		t.Fatal(err)
-	}
+	waitConverged(t, startTail(t, leaderURL, fg, "deep"))
 	assertSameRoots(t, "deep", leader, fg)
 
 	// The replicated state serves verified reads: spot-check one proof.
@@ -249,22 +257,9 @@ func TestFollowerConfigMismatchFails(t *testing.T) {
 	if err := fg.CreateFeed(server.FeedConfig{ID: "clash", Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
-	f.Start()
-	t.Cleanup(f.Close)
-
-	deadline := time.Now().Add(waitTimeout)
-	for {
-		feeds, _ := f.Status()
-		if len(feeds) == 1 && feeds[0].State == repl.StateFailed &&
-			strings.Contains(feeds[0].Error, "different config") {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("config mismatch never surfaced: %+v", feeds)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitStatus(t, startTail(t, leaderURL, fg, "clash"), "config mismatch", func(fs repl.FeedStatus) bool {
+		return fs.State == repl.StateFailed && strings.Contains(fs.Error, "different config")
+	})
 }
 
 // tamperOnce wraps a leader handler and flips one byte inside the first
@@ -288,19 +283,10 @@ func (tp *tamperOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := httptest.NewRecorder()
 	tp.next.ServeHTTP(rec, r)
 	var page repl.LogPage
-	if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &page) == nil && len(page.Entries) > 0 {
-	flip:
-		for ei := range page.Entries {
-			for oi := range page.Entries[ei].Ops {
-				if page.Entries[ei].Ops[oi].Type == "write" && len(page.Entries[ei].Ops[oi].Value) > 0 {
-					page.Entries[ei].Ops[oi].Value[0] ^= 0x01 // the flipped byte
-					tp.mu.Lock()
-					tp.done = true
-					tp.mu.Unlock()
-					break flip
-				}
-			}
-		}
+	if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &page) == nil && flipFirstWrite(&page) {
+		tp.mu.Lock()
+		tp.done = true
+		tp.mu.Unlock()
 		body, _ := json.Marshal(page)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -314,6 +300,20 @@ func (tp *tamperOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(rec.Code)
 	w.Write(rec.Body.Bytes())
+}
+
+// flipFirstWrite flips one byte inside the first write op of the page and
+// reports whether the page carried one.
+func flipFirstWrite(page *repl.LogPage) bool {
+	for ei := range page.Entries {
+		for oi := range page.Entries[ei].Ops {
+			if op := &page.Entries[ei].Ops[oi]; op.Type == "write" && len(op.Value) > 0 {
+				op.Value[0] ^= 0x01 // the flipped byte
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (tp *tamperOnce) arm() {
@@ -341,31 +341,16 @@ func TestFollowerTamperedBatchHaltsShard(t *testing.T) {
 	writeBatches(t, leaderGW, "t", 5, 0)
 
 	fg, _ := startGateway(t, server.GatewayOptions{})
-	f := repl.NewFollower(fastOpts(srv.URL), fg.ReplTarget())
-	f.Start()
-	t.Cleanup(f.Close)
-	if err := f.WaitConverged(waitTimeout); err != nil {
-		t.Fatal(err)
-	}
+	ft := startTail(t, srv.URL, fg, "t")
+	waitConverged(t, ft)
 	cleanRoots := rootsOf(t, fg, "t")
 
 	tp.arm()
 	writeBatches(t, leaderGW, "t", 1, 5)
 
-	deadline := time.Now().Add(waitTimeout)
-	for {
-		feeds, _ := f.Status()
-		if len(feeds) == 1 && feeds[0].State == repl.StateHalted {
-			ss := feeds[0].Shards[0]
-			if !strings.Contains(ss.Error, "diverged") {
-				t.Fatalf("halt without divergence detail: %+v", ss)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tampered batch never halted the shard: %+v", feeds)
-		}
-		time.Sleep(2 * time.Millisecond)
+	waitStatus(t, ft, "tampered batch halts the shard", inState(repl.StateHalted))
+	if ss := ft.Status().Shards[0]; !strings.Contains(ss.Error, "diverged") {
+		t.Fatalf("halt without divergence detail: %+v", ss)
 	}
 
 	// The forked state was never published: the follower still serves the
@@ -407,28 +392,16 @@ func TestFollowerCrashRestartMidCatchUp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
-			f.Start()
-			deadline := time.Now().Add(waitTimeout)
-			for {
-				feeds, _ := f.Status()
-				reached := false
-				for _, fs := range feeds {
-					for _, ss := range fs.Shards {
-						if ss.Seq >= uint64(cut) {
-							reached = true
-						}
+			ft := startTail(t, leaderURL, fg, "f")
+			waitStatus(t, ft, fmt.Sprintf("cut point %d", cut), func(fs repl.FeedStatus) bool {
+				for _, ss := range fs.Shards {
+					if ss.Seq >= uint64(cut) {
+						return true
 					}
 				}
-				if reached {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("cut point %d never reached: %+v", cut, feeds)
-				}
-				time.Sleep(time.Millisecond)
-			}
-			f.Close()
+				return false
+			})
+			ft.Close()
 			fg.Kill() // simulated crash
 
 			// Phase 2: recover from the follower's own store and resume.
@@ -437,12 +410,7 @@ func TestFollowerCrashRestartMidCatchUp(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(fg2.Close)
-			f2 := repl.NewFollower(fastOpts(leaderURL), fg2.ReplTarget())
-			f2.Start()
-			t.Cleanup(f2.Close)
-			if err := f2.WaitConverged(waitTimeout); err != nil {
-				t.Fatal(err)
-			}
+			waitConverged(t, startTail(t, leaderURL, fg2, "f"))
 			assertSameRoots(t, "f", leader, fg2)
 		})
 	}
@@ -463,21 +431,9 @@ func TestFollowerAheadOfLeaderHalts(t *testing.T) {
 	}
 	writeBatches(t, fg, "x", 5, 0) // local history ahead of the leader's 2
 
-	f := repl.NewFollower(fastOpts(leaderURL), fg.ReplTarget())
-	f.Start()
-	t.Cleanup(f.Close)
-	deadline := time.Now().Add(waitTimeout)
-	for {
-		feeds, _ := f.Status()
-		if len(feeds) == 1 && feeds[0].State == repl.StateHalted {
-			if !strings.Contains(feeds[0].Shards[0].Error, "ahead of leader") {
-				t.Fatalf("unexpected halt detail: %+v", feeds[0].Shards[0])
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower-ahead never halted: %+v", feeds)
-		}
-		time.Sleep(2 * time.Millisecond)
+	ft := startTail(t, leaderURL, fg, "x")
+	waitStatus(t, ft, "replica-ahead halt", inState(repl.StateHalted))
+	if ss := ft.Status().Shards[0]; !strings.Contains(ss.Error, "ahead of leader") {
+		t.Fatalf("unexpected halt detail: %+v", ss)
 	}
 }

@@ -19,14 +19,15 @@
 //	GET /repl/feeds/{id}/shards/{shard}/log?from=N   applied batches above N
 //	GET /repl/feeds/{id}/shards/{shard}/snapshot     consistent state snapshot
 //
-// A Follower drives those endpoints against one leader URL and replicates
-// into a Target (implemented by server.Gateway): bootstrap from the newest
-// snapshot when the cursor has fallen below the leader's retained log floor,
-// then tail the log with backoff/resume. Because a follower applies through
-// the ordinary shard engine, it publishes the same immutable read views and
-// serves the same Merkle-proven reads — server.VerifyingClient works
-// unchanged against a follower, which is what buys horizontal verified-read
-// scale-out plus a warm standby.
+// A FeedTail drives those endpoints for one feed against one leader URL and
+// replicates into a Target (implemented by server.Gateway): bootstrap from
+// the newest snapshot when the cursor has fallen below the leader's retained
+// log floor, then tail the log with backoff/resume. Because a replica applies
+// through the ordinary shard engine, it publishes the same immutable read
+// views and serves the same Merkle-proven reads — server.VerifyingClient
+// works unchanged against any replica, which is what buys horizontal
+// verified-read scale-out plus a warm standby. internal/cluster runs one
+// FeedTail per feed a node does not own, on voters and learners alike.
 package repl
 
 import (
@@ -37,6 +38,7 @@ import (
 	"grub/internal/core"
 	"grub/internal/gas"
 	"grub/internal/merkle"
+	"grub/internal/obs"
 )
 
 // Sentinel errors. DivergenceError wraps ErrDivergence so callers classify
@@ -142,7 +144,7 @@ type Feed interface {
 	Reset(shard int, snap *Snapshot) (uint64, error)
 }
 
-// Target is the local node a Follower replicates into (implemented by
+// Target is the local node a FeedTail replicates into (implemented by
 // server.Gateway). Configs travel as raw JSON so this package needs no
 // dependency on the gateway's config schema.
 type Target interface {
@@ -152,4 +154,7 @@ type Target interface {
 	EnsureFeed(id string, cfg json.RawMessage) error
 	// Feed resolves a hosted feed's replication interface.
 	Feed(id string) (Feed, error)
+	// Pipeline is the node's stage-latency registry; tails observe their
+	// follower_fetch and follower_verify stages into it (nil disables).
+	Pipeline() *obs.Pipeline
 }

@@ -60,9 +60,8 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // call performs one JSON round-trip, with bounded retry per c.Retry. out
-// may be nil. A 403 (read-only follower refusing a write) or 421 (cluster
-// node disclaiming ownership) carrying a Leader header is transparently
-// retried once against the named leader, so a client pointed at any node
+// may be nil. A 421 (cluster node disclaiming ownership) carrying a Leader
+// header is transparently retried once against the named owner, so a client pointed at any node
 // still lands its writes; transport errors and 502/503 responses back off
 // and retry when c.Retry allows.
 func (c *Client) call(method, path string, in, out any) error {
@@ -111,7 +110,7 @@ func (c *Client) call(method, path string, in, out any) error {
 			time.Sleep(time.Duration(rand.Int64N(int64(d) + 1)))
 		}
 		resp, err := do(c.BaseURL)
-		if err == nil && (resp.StatusCode == http.StatusForbidden || resp.StatusCode == http.StatusMisdirectedRequest) {
+		if err == nil && resp.StatusCode == http.StatusMisdirectedRequest {
 			// One hop only: if the named "leader" disagrees too, its own
 			// rejection comes back to the caller rather than chasing a
 			// redirect chain.

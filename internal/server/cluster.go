@@ -21,11 +21,11 @@ import (
 // or misdirected requests.
 
 // ClusterLocal adapts the gateway into the cluster.Local a cluster.Node
-// drives: the repl.Target cluster tails replicate into, plus the read-only
-// hooks feed placement and anchor-verified promotion need.
-func (g *Gateway) ClusterLocal() cluster.Local { return clusterLocal{replTarget{g}} }
+// drives: the repl.Target cluster tails replicate into (replicate.go), plus
+// the read-only hooks feed placement and anchor-verified promotion need.
+func (g *Gateway) ClusterLocal() cluster.Local { return clusterLocal{g} }
 
-type clusterLocal struct{ replTarget }
+type clusterLocal struct{ g *Gateway }
 
 func (l clusterLocal) Feeds() []string { return l.g.Feeds() }
 

@@ -52,7 +52,7 @@ func waitSlowRecord(t *testing.T, log *syncBuffer, traceID, stage string, timeou
 // node's slow-op log.
 func TestClusterTraceStitching(t *testing.T) {
 	logs := make([]*syncBuffer, 2)
-	nodes := startTestClusterCfg(t, 2, func(i int, hc *HandlerConfig) {
+	nodes := startTestClusterCfg(t, 2, 0, func(i int, _ *GatewayOptions, hc *HandlerConfig) {
 		logs[i] = &syncBuffer{}
 		hc.SlowOp = time.Nanosecond // trace and log every batch
 		hc.SlowOpWriter = logs[i]

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,8 @@ type testClusterNode struct {
 	node *cluster.Node
 	srv  *http.Server
 	url  string
+	// lists counts GET /repl/feeds requests this node served.
+	lists atomic.Int64
 
 	mu     sync.Mutex
 	killed bool
@@ -49,15 +52,18 @@ func (tn *testClusterNode) alive() bool {
 // test cadences. Every node knows every other as a static peer.
 func startTestCluster(t *testing.T, n int) []*testClusterNode {
 	t.Helper()
-	return startTestClusterCfg(t, n, nil)
+	return startTestClusterCfg(t, n, 0, nil)
 }
 
-// startTestClusterCfg is startTestCluster with a per-node HandlerConfig
-// hook: mod runs on each node's config (Cluster pre-filled) before the
-// handler is built, so tests can enable slow-op logging or tracing knobs
-// on individual members.
-func startTestClusterCfg(t *testing.T, n int, mod func(i int, hc *HandlerConfig)) []*testClusterNode {
+// startTestClusterCfg is startTestCluster plus learners and a per-node
+// hook. Nodes [0, voters) are voters; the next learners nodes are learners
+// following them. mod (optional) runs on each node's gateway options and
+// handler config before either is built (Cluster is set afterwards), so
+// tests can enable persistence, slow-op logging or tracing knobs on
+// individual members.
+func startTestClusterCfg(t *testing.T, voters, learners int, mod func(i int, gopts *GatewayOptions, hc *HandlerConfig)) []*testClusterNode {
 	t.Helper()
+	n := voters + learners
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -70,15 +76,23 @@ func startTestClusterCfg(t *testing.T, n int, mod func(i int, hc *HandlerConfig)
 	}
 	nodes := make([]*testClusterNode, n)
 	for i := range lns {
-		g := NewGateway()
-		peers := make([]string, 0, n-1)
-		for j, u := range urls {
+		var gopts GatewayOptions
+		var hc HandlerConfig
+		if mod != nil {
+			mod(i, &gopts, &hc)
+		}
+		g, err := NewGatewayWithOptions(gopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peers []string
+		for j, u := range urls[:voters] {
 			if j != i {
 				peers = append(peers, u)
 			}
 		}
 		node, err := cluster.NewNode(cluster.Options{
-			Self: urls[i], Peers: peers, Local: g.ClusterLocal(),
+			Self: urls[i], Peers: peers, Learner: i >= voters, Local: g.ClusterLocal(),
 			Heartbeat: 15 * time.Millisecond, FailAfter: 120 * time.Millisecond,
 			TailPoll: 3 * time.Millisecond, MoveTimeout: 30 * time.Second,
 			LoadDigest: g.Load().Snapshot,
@@ -86,14 +100,17 @@ func startTestClusterCfg(t *testing.T, n int, mod func(i int, hc *HandlerConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hc := HandlerConfig{Cluster: node}
-		if mod != nil {
-			mod(i, &hc)
-		}
-		srv := &http.Server{Handler: NewHandlerConfig(g, hc)}
-		go srv.Serve(lns[i])
+		hc.Cluster = node
+		tn := &testClusterNode{g: g, node: node, url: urls[i]}
+		h := NewHandlerConfig(g, hc)
+		tn.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && r.URL.Path == "/repl/feeds" {
+				tn.lists.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})}
+		go tn.srv.Serve(lns[i])
 		node.Start()
-		tn := &testClusterNode{g: g, node: node, srv: srv, url: urls[i]}
 		nodes[i] = tn
 		t.Cleanup(tn.kill)
 	}

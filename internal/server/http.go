@@ -22,7 +22,7 @@ import (
 const DefaultMaxBodyBytes int64 = 8 << 20
 
 // maxLogBatches caps replication log entries per GET /repl/.../log page
-// (and is the default when the follower does not ask for less), bounding
+// (and is the default when the tail does not ask for less), bounding
 // response size the way MaxBodyBytes bounds requests.
 const maxLogBatches = 256
 
@@ -37,19 +37,12 @@ type HandlerConfig struct {
 	// VerifyingClient rejection tests have something to reject;
 	// production configs leave it nil.
 	TamperQuery func(any)
-	// Follower, when non-nil, puts the handler in read-only follower mode:
-	// mutating routes (create feed, ops, delete) answer 403 with a Leader
-	// header, a Retry-After hint and a structured JSON error naming the
-	// leader, and GET /repl/status and /metrics report the follower's
-	// replication health. Reads — including the authenticated read path —
-	// serve locally from the replicated state.
-	Follower *repl.Follower
-	// Cluster, when non-nil, puts the handler in cluster mode (grubd
-	// -join): write-path requests are routed by the node's placement map —
-	// applied locally when this node owns the feed, transparently proxied
-	// to the owner otherwise — the /cluster/* surface activates, and
-	// /healthz and /metrics grow cluster fields. Reads always serve
-	// locally from the node's verified replica.
+	// Cluster, when non-nil, puts the handler in cluster mode (grubd -join,
+	// or -follow for a learner): write-path requests are routed by the
+	// node's placement map — applied locally when this node owns the feed,
+	// transparently proxied to the owner otherwise — the /cluster/*
+	// surface activates, and /healthz and /metrics grow cluster fields.
+	// Reads always serve locally from the node's verified replica.
 	Cluster *cluster.Node
 	// SlowOp enables structured slow-batch logging (grubd's -slow-ms):
 	// every write batch whose gateway round trip exceeds it emits one
@@ -104,17 +97,14 @@ type InfoResponse struct {
 }
 
 // HealthResponse is the body of GET /healthz, the load-balancer liveness
-// probe. A gateway with any halted shard — a leader-side divergence halt,
-// or (in follower mode) a tailer that refused to fork — reports OK=false
-// with the shards listed in Degraded, and the probe answers 503 so the
-// balancer stops routing to a node serving frozen state.
+// probe. A gateway with any halted shard — an engine-side divergence halt,
+// or a cluster tail that refused to fork — reports OK=false with the
+// shards listed in Degraded, and the probe answers 503 so the balancer
+// stops routing to a node serving frozen state.
 type HealthResponse struct {
 	OK      bool   `json:"ok"`
 	Feeds   int    `json:"feeds"`
 	Version string `json:"version"`
-	// Follower is the leader URL when this gateway is a read-only replica
-	// ("" on a leader/standalone gateway).
-	Follower string `json:"follower,omitempty"`
 	// Degraded lists halted shards, sorted by feed then shard.
 	Degraded []ShardHealth `json:"degraded,omitempty"`
 	// Cluster is this node's cluster view (role per feed, members, quorum)
@@ -152,21 +142,9 @@ type LoadResponse struct {
 }
 
 // ReplFeedsResponse is the body of GET /repl/feeds: every hosted feed's
-// config, verbatim — what a follower needs to mirror the feed set.
+// config, verbatim — what a tail reads to create its feed locally.
 type ReplFeedsResponse struct {
 	Feeds []FeedConfig `json:"feeds"`
-}
-
-// ReplStatusResponse is the body of GET /repl/status. On a leader it only
-// reports Follower=false; on a follower it carries per-feed, per-shard
-// replication health (cursor, leader seq, lag, tailer state).
-type ReplStatusResponse struct {
-	Follower bool              `json:"follower"`
-	Leader   string            `json:"leader,omitempty"`
-	Feeds    []repl.FeedStatus `json:"feeds,omitempty"`
-	// Error is the last feed-list fetch failure against the leader, if
-	// any (transient while the leader restarts).
-	Error string `json:"error,omitempty"`
 }
 
 // GetResponse is the body of GET /feeds/{id}/get?key=K: an authenticated
@@ -194,8 +172,8 @@ type RootsResponse struct {
 	Shards []query.RootInfo `json:"shards"`
 }
 
-// errorBody is the JSON shape of every non-2xx response. Leader is set only
-// on follower-mode write rejections: it names the node that accepts writes
+// errorBody is the JSON shape of every non-2xx response. Leader is set on
+// cluster redirects (421) and fences: it names the node that accepts writes
 // (also sent as the Leader response header, which Client auto-follows).
 type errorBody struct {
 	Error  string `json:"error"`
@@ -258,24 +236,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	}
 	slow := newSlowLogger(hc.SlowOp, hc.SlowOpWriter)
 	mux := http.NewServeMux()
-
-	// rejectWrite answers mutating requests on a read-only follower: 403
-	// with the leader's URL in both the Leader header (Client auto-follows
-	// it once) and the structured JSON body, plus a Retry-After hint for
-	// clients that would rather wait out a promotion.
-	rejectWrite := func(w http.ResponseWriter) bool {
-		if hc.Follower == nil {
-			return false
-		}
-		leader := hc.Follower.Leader()
-		w.Header().Set("Leader", leader)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusForbidden, errorBody{
-			Error:  fmt.Sprintf("read-only follower: writes go to the leader at %s", leader),
-			Leader: leader,
-		})
-		return true
-	}
 
 	// forwardOps proxies a batch to the feed's owner with trace stitching:
 	// the proxy round trip becomes a `forward` span (and feeds the feed's
@@ -344,9 +304,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	}
 
 	mux.HandleFunc("POST /feeds", func(w http.ResponseWriter, r *http.Request) {
-		if rejectWrite(w) {
-			return
-		}
 		var cfg FeedConfig
 		if !decodeBody(w, r, maxBody, &cfg) {
 			return
@@ -396,9 +353,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	})
 
 	mux.HandleFunc("POST /feeds/{id}/ops", func(w http.ResponseWriter, r *http.Request) {
-		if rejectWrite(w) {
-			return
-		}
 		id := r.PathValue("id")
 		if clusterRoute(w, r, id, true) {
 			return
@@ -520,8 +474,8 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			Version: Version,
 		}
 		// Engine-side divergence halts (a replicated apply this gateway
-		// refused) and, in follower mode, tailer-side halts both degrade
-		// the probe: a halted shard serves a frozen view forever.
+		// refused) and cluster tail halts both degrade the probe: a halted
+		// shard serves a frozen view forever.
 		resp.Degraded = g.Halted()
 		seen := make(map[string]map[int]bool, len(resp.Degraded))
 		mark := func(feed string, s int) bool {
@@ -535,21 +489,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		for _, d := range resp.Degraded {
 			mark(d.Feed, d.Shard)
 		}
-		if hc.Follower != nil {
-			resp.Follower = hc.Follower.Leader()
-			feeds, _ := hc.Follower.Status()
-			for _, fs := range feeds {
-				for _, ss := range fs.Shards {
-					if ss.State == repl.StateHalted && !mark(fs.ID, ss.Shard) {
-						resp.Degraded = append(resp.Degraded,
-							ShardHealth{Feed: fs.ID, Shard: ss.Shard, State: repl.StateHalted, Error: ss.Error})
-					}
-				}
-			}
-		}
 		if hc.Cluster != nil {
-			// Cluster tails that refused to fork degrade the probe the
-			// same way follower tailers do.
 			cs := hc.Cluster.Status()
 			resp.Cluster = &cs
 			for _, fp := range cs.Feeds {
@@ -572,11 +512,10 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		writeJSON(w, status, resp)
 	})
 
-	mux.HandleFunc("GET /metrics", metricsHandler(g, hc.Follower, hc.Cluster, slow))
+	mux.HandleFunc("GET /metrics", metricsHandler(g, hc.Cluster, slow))
 
 	// Replication surface: every gateway ships its per-shard log (leader
-	// role needs no configuration); /repl/status reports the follower
-	// role's tailer health.
+	// role needs no configuration). Tail health is on /cluster/status.
 	mux.HandleFunc("GET /repl/feeds", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ReplFeedsResponse{Feeds: g.ReplConfigs()})
 	})
@@ -631,20 +570,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, snap)
-	})
-
-	mux.HandleFunc("GET /repl/status", func(w http.ResponseWriter, r *http.Request) {
-		resp := ReplStatusResponse{}
-		if hc.Follower != nil {
-			resp.Follower = true
-			resp.Leader = hc.Follower.Leader()
-			feeds, err := hc.Follower.Status()
-			resp.Feeds = feeds
-			if err != nil {
-				resp.Error = err.Error()
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
 	})
 
 	// tamper lets the rejection tests model a compromised gateway; it is
@@ -719,9 +644,6 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	})
 
 	mux.HandleFunc("DELETE /feeds/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if rejectWrite(w) {
-			return
-		}
 		id := r.PathValue("id")
 		if clusterRoute(w, r, id, false) {
 			return
@@ -780,7 +702,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 
-	mux.HandleFunc("GET /cluster/metrics", clusterMetricsHandler(g, hc.Follower, hc.Cluster, slow))
+	mux.HandleFunc("GET /cluster/metrics", clusterMetricsHandler(g, hc.Cluster, slow))
 
 	mux.HandleFunc("POST /cluster/feeds/{id}/move", func(w http.ResponseWriter, r *http.Request) {
 		if hc.Cluster == nil {

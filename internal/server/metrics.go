@@ -17,25 +17,24 @@ import (
 // the JSON API serves (computed at scrape time — the engine is the source
 // of truth, not a second set of counters that could drift), and the
 // registry-backed pipeline-stage latency histograms (grub_stage_seconds)
-// the shard workers, query engine and follower tailers observe into. On a
-// follower the replication gauges (notably grub_repl_lag = leader seq −
-// follower seq, per shard) come from the follower's tailer status.
+// the shard workers, query engine and replication tails observe into. On a
+// cluster node the replication gauges (notably grub_repl_lag = leader seq −
+// local seq, per tailed feed shard) come from the node's feed tails.
 
-// metricsHandler renders the gateway's metrics; follower, node and slow
-// may be nil (leader/standalone mode, non-clustered mode, and slow-op
-// logging disabled respectively).
-func metricsHandler(g *Gateway, follower *repl.Follower, node *cluster.Node, slow *slowLogger) http.HandlerFunc {
+// metricsHandler renders the gateway's metrics; node and slow may be nil
+// (non-clustered mode and slow-op logging disabled respectively).
+func metricsHandler(g *Gateway, node *cluster.Node, slow *slowLogger) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(renderMetrics(g, follower, node, slow)))
+		w.Write([]byte(renderMetrics(g, node, slow)))
 	}
 }
 
 // renderMetrics builds the full exposition text. The federation plane
 // (GET /cluster/metrics) calls it directly for the answering node's own
 // registry, so self never round-trips through HTTP.
-func renderMetrics(g *Gateway, follower *repl.Follower, node *cluster.Node, slow *slowLogger) string {
+func renderMetrics(g *Gateway, node *cluster.Node, slow *slowLogger) string {
 	ids := g.Feeds()
 	feedSeries := []obs.Series{
 		{Name: "grub_feed_ops_total", Help: "Executed ops per feed.", Type: "counter"},
@@ -69,19 +68,11 @@ func renderMetrics(g *Gateway, follower *repl.Follower, node *cluster.Node, slow
 	}
 	halted := len(g.Halted())
 
-	isFollower := 0.0
-	if follower != nil {
-		isFollower = 1
-	}
 	var b strings.Builder
 	obs.WriteSeries(&b, []obs.Series{
 		{
 			Name: "grub_gateway_feeds", Help: "Feeds hosted by this gateway.", Type: "gauge",
 			Samples: []obs.Sample{{Value: float64(len(ids))}},
-		},
-		{
-			Name: "grub_repl_follower", Help: "Whether this gateway runs in follower mode.", Type: "gauge",
-			Samples: []obs.Sample{{Value: isFollower}},
 		},
 		{
 			Name: "grub_shards_halted", Help: "Shards permanently halted on a detected divergence.", Type: "gauge",
@@ -102,9 +93,6 @@ func renderMetrics(g *Gateway, follower *repl.Follower, node *cluster.Node, slow
 	})
 	obs.WriteSeries(&b, feedSeries)
 	obs.WriteSeries(&b, loadSeries(g))
-	if follower != nil {
-		obs.WriteSeries(&b, followerSeries(follower))
-	}
 	if node != nil {
 		obs.WriteSeries(&b, clusterSeries(node))
 	}
@@ -172,10 +160,24 @@ func clusterSeries(node *cluster.Node) []obs.Series {
 			Samples: []obs.Sample{{Value: float64(st.FailoversTotal)}}},
 		{Name: "grub_cluster_role", Help: "This node's role per feed (0 follower, 1 owner, 2 owner-fenced, 3 deleted).", Type: "gauge"},
 		{Name: "grub_cluster_heartbeat_lag_seconds", Help: "Seconds since each peer was last heard from (-1 = never).", Type: "gauge"},
+		{Name: "grub_repl_seq", Help: "Applied batch sequence per tailed feed shard.", Type: "gauge"},
+		{Name: "grub_repl_leader_seq", Help: "Owner's batch sequence as last observed, per tailed feed shard.", Type: "gauge"},
+		{Name: "grub_repl_lag", Help: "Replication lag (owner seq - local seq) per tailed feed shard.", Type: "gauge"},
+		{Name: "grub_repl_state", Help: "Tail state per tailed feed shard (0 tailing, 1 syncing, 2 gone, 3 failed, 4 halted).", Type: "gauge"},
 	}
 	for _, fp := range st.Feeds {
 		out[6].Samples = append(out[6].Samples,
 			obs.Sample{Labels: obs.Labels("feed", fp.Feed), Value: float64(clusterRoleCode[fp.Role])})
+		if fp.Tail == nil {
+			continue
+		}
+		for _, ss := range fp.Tail.Shards {
+			label := obs.Labels("feed", fp.Feed, "shard", strconv.Itoa(ss.Shard))
+			out[8].Samples = append(out[8].Samples, obs.Sample{Labels: label, Value: float64(ss.Seq)})
+			out[9].Samples = append(out[9].Samples, obs.Sample{Labels: label, Value: float64(ss.LeaderSeq)})
+			out[10].Samples = append(out[10].Samples, obs.Sample{Labels: label, Value: float64(ss.Lag)})
+			out[11].Samples = append(out[11].Samples, obs.Sample{Labels: label, Value: float64(replStateCode[ss.State])})
+		}
 	}
 	lag := node.HeartbeatLag()
 	peers := make([]string, 0, len(lag))
@@ -186,27 +188,6 @@ func clusterSeries(node *cluster.Node) []obs.Series {
 	for _, p := range peers {
 		out[7].Samples = append(out[7].Samples,
 			obs.Sample{Labels: obs.Labels("peer", p), Value: lag[p]})
-	}
-	return out
-}
-
-func followerSeries(follower *repl.Follower) []obs.Series {
-	feeds, _ := follower.Status()
-	sort.Slice(feeds, func(i, j int) bool { return feeds[i].ID < feeds[j].ID })
-	out := []obs.Series{
-		{Name: "grub_repl_seq", Help: "Follower's applied batch sequence per feed shard.", Type: "gauge"},
-		{Name: "grub_repl_leader_seq", Help: "Leader's batch sequence as last observed, per feed shard.", Type: "gauge"},
-		{Name: "grub_repl_lag", Help: "Replication lag (leader seq - follower seq) per feed shard.", Type: "gauge"},
-		{Name: "grub_repl_state", Help: "Tailer state per feed shard (0 tailing, 1 syncing, 2 gone, 3 failed, 4 halted).", Type: "gauge"},
-	}
-	for _, fs := range feeds {
-		for _, ss := range fs.Shards {
-			label := obs.Labels("feed", fs.ID, "shard", strconv.Itoa(ss.Shard))
-			out[0].Samples = append(out[0].Samples, obs.Sample{Labels: label, Value: float64(ss.Seq)})
-			out[1].Samples = append(out[1].Samples, obs.Sample{Labels: label, Value: float64(ss.LeaderSeq)})
-			out[2].Samples = append(out[2].Samples, obs.Sample{Labels: label, Value: float64(ss.Lag)})
-			out[3].Samples = append(out[3].Samples, obs.Sample{Labels: label, Value: float64(replStateCode[ss.State])})
-		}
 	}
 	return out
 }

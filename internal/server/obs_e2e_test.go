@@ -134,28 +134,24 @@ func TestTraceSpansSingleBatch(t *testing.T) {
 var stageCountRe = regexp.MustCompile(`grub_stage_seconds_count\{feed="obs",stage="([a-z_]+)"\} (\d+)`)
 
 // TestPipelineObservabilityE2E is the acceptance test: writes through a
-// leader+follower pair, authenticated reads, then a scrape of both nodes
+// voter+learner pair, authenticated reads, then a scrape of both nodes
 // must show a non-empty latency histogram for every pipeline stage — the
-// write path on the leader, the proof build on the read path, and the
-// fetch/verify/apply stages on the follower — and the slow-op log must
-// carry the full span breakdown under a single trace ID per batch.
+// write path on the voter, the proof build on the read path, and the
+// fetch/verify/apply stages on the learner's tail — and the slow-op log
+// must carry the full span breakdown under a single trace ID per batch.
 func TestPipelineObservabilityE2E(t *testing.T) {
-	leader, err := NewGatewayWithOptions(GatewayOptions{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
 	var buf syncBuffer
-	leaderSrv := httptest.NewServer(NewHandlerConfig(leader, HandlerConfig{
-		SlowOp: time.Nanosecond, SlowOpWriter: &buf,
-	}))
-	defer leaderSrv.Close()
+	voter, learner := startLearnerPair(t, func(i int, gopts *GatewayOptions, hc *HandlerConfig) {
+		if i == 0 {
+			gopts.DataDir = t.TempDir()
+			hc.SlowOp, hc.SlowOpWriter = time.Nanosecond, &buf
+		}
+	})
 
-	c := NewClient(leaderSrv.URL)
+	c := NewClient(voter.url)
 	if err := c.CreateFeed(FeedConfig{ID: "obs", Shards: 2, EpochOps: 4}); err != nil {
 		t.Fatal(err)
 	}
-	_, f, followerURL := startFollowerNode(t, leaderSrv.URL)
 
 	for b := 0; b < 6; b++ {
 		ops := make([]Op, 4)
@@ -173,14 +169,12 @@ func TestPipelineObservabilityE2E(t *testing.T) {
 	if _, err := c.Range("obs", "a", "z"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WaitConverged(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitReplicated(t, voter, learner, "obs")
 
-	// Union the stage histogram counts across the pair: the leader owns
-	// the write/read stages, the follower the replication stages.
+	// Union the stage histogram counts across the pair: the voter owns
+	// the write/read stages, the learner's tail the replication stages.
 	counts := map[string]int{}
-	for _, url := range []string{leaderSrv.URL, followerURL} {
+	for _, url := range []string{voter.url, learner.url} {
 		resp, err := http.Get(url + "/metrics")
 		if err != nil {
 			t.Fatal(err)
@@ -194,10 +188,10 @@ func TestPipelineObservabilityE2E(t *testing.T) {
 	}
 	for _, stage := range obs.Stages {
 		if stage == obs.StageForward || stage == obs.StageRemoteApply {
-			continue // cluster-only stages: nothing forwards in a leader+follower pair
+			continue // forward stages: every write here enters at the owner
 		}
 		if counts[stage] == 0 {
-			t.Errorf("stage %q histogram empty across leader+follower: %v", stage, counts)
+			t.Errorf("stage %q histogram empty across voter+learner: %v", stage, counts)
 		}
 	}
 

@@ -9,25 +9,32 @@ import (
 	"testing"
 	"time"
 
+	"grub/internal/cluster"
 	"grub/internal/repl"
 )
 
-// startFollowerNode brings up a follower gateway + HTTP server replicating
-// from leaderURL, with fast test cadences.
-func startFollowerNode(t *testing.T, leaderURL string) (*Gateway, *repl.Follower, string) {
+// startLearnerPair brings up a one-voter cluster plus one learner
+// following it, with fast test cadences; mod as in startTestClusterCfg
+// (node 0 is the voter, node 1 the learner). It returns once the learner
+// has heard from the voter, so it can place and route writes.
+func startLearnerPair(t *testing.T, mod func(i int, gopts *GatewayOptions, hc *HandlerConfig)) (voter, learner *testClusterNode) {
 	t.Helper()
-	fg := NewGateway()
-	f := repl.NewFollower(repl.Options{
-		Leader: leaderURL,
-		Poll:   2 * time.Millisecond, Refresh: 10 * time.Millisecond,
-		Pipeline: fg.Pipeline(),
-	}, fg.ReplTarget())
-	srv := httptest.NewServer(NewHandlerConfig(fg, HandlerConfig{Follower: f}))
-	f.Start()
-	t.Cleanup(srv.Close)
-	t.Cleanup(fg.Close)
-	t.Cleanup(f.Close)
-	return fg, f, srv.URL
+	nodes := startTestClusterCfg(t, 1, 1, mod)
+	deadline := time.Now().Add(30 * time.Second)
+	for !nodes[1].node.Status().Quorum {
+		if time.Now().After(deadline) {
+			t.Fatal("learner never heard from its voter")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return nodes[0], nodes[1]
+}
+
+// waitReplicated polls until the learner serves feed with the voter's
+// exact per-shard anchors.
+func waitReplicated(t *testing.T, voter, learner *testClusterNode, feed string) {
+	t.Helper()
+	waitAnchorsEqual(t, []*testClusterNode{voter, learner}, feed, 30*time.Second)
 }
 
 // TestReplEndpoints exercises the leader's log-shipping surface over HTTP:
@@ -121,34 +128,30 @@ func TestReplEndpoints(t *testing.T) {
 	}
 }
 
-// TestFollowerModeWritesRejected pins the follower write contract: 403 with
-// a Leader header, a Retry-After hint and a structured JSON body; reads and
-// the authenticated read path keep serving.
-func TestFollowerModeWritesRejected(t *testing.T) {
-	leader := NewGateway()
-	defer leader.Close()
-	leaderSrv := httptest.NewServer(NewHandler(leader))
-	defer leaderSrv.Close()
-	if err := leader.CreateFeed(FeedConfig{ID: "w", Shards: 2, EpochOps: 1}); err != nil {
+// TestLearnerWritesReachOwner pins the learner write contract: every
+// mutating route is proxied to the owner voter like on any non-owner, the
+// learner's replica changes only through its tail, and reads — including
+// the authenticated read path — serve locally from that replica.
+func TestLearnerWritesReachOwner(t *testing.T) {
+	voter, learner := startLearnerPair(t, nil)
+	vc := NewClient(voter.url)
+	if err := vc.CreateFeed(FeedConfig{ID: "w", Shards: 2, EpochOps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Do("w", []Op{{Type: "write", Key: "a", Value: []byte("1")}}); err != nil {
+	if _, err := vc.Do("w", []Op{{Type: "write", Key: "a", Value: []byte("1")}}); err != nil {
 		t.Fatal(err)
 	}
-
-	_, f, followerURL := startFollowerNode(t, leaderSrv.URL)
-	if err := f.WaitConverged(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitReplicated(t, voter, learner, "w")
 
 	for _, tc := range []struct {
 		method, path, body string
+		want               int
 	}{
-		{http.MethodPost, "/feeds", `{"id":"new"}`},
-		{http.MethodPost, "/feeds/w/ops", `{"ops":[{"type":"write","key":"a","value":"Mg=="}]}`},
-		{http.MethodDelete, "/feeds/w", ""},
+		{http.MethodPost, "/feeds", `{"id":"new"}`, http.StatusCreated},
+		{http.MethodPost, "/feeds/w/ops", `{"ops":[{"type":"write","key":"a","value":"Mg=="}]}`, http.StatusOK},
+		{http.MethodDelete, "/feeds/new", "", http.StatusOK},
 	} {
-		req, err := http.NewRequest(tc.method, followerURL+tc.path, strings.NewReader(tc.body))
+		req, err := http.NewRequest(tc.method, learner.url+tc.path, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,97 +159,117 @@ func TestFollowerModeWritesRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body struct {
-			Error  string `json:"error"`
-			Leader string `json:"leader"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusForbidden {
-			t.Errorf("%s %s = HTTP %d, want 403", tc.method, tc.path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Leader"); got != leaderSrv.URL {
-			t.Errorf("%s %s Leader header = %q, want %q", tc.method, tc.path, got, leaderSrv.URL)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Errorf("%s %s missing Retry-After", tc.method, tc.path)
-		}
-		if err != nil || body.Leader != leaderSrv.URL || !strings.Contains(body.Error, "read-only follower") {
-			t.Errorf("%s %s body = %+v (err %v)", tc.method, tc.path, body, err)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s via learner = HTTP %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
 	}
-
-	// Reads serve locally, proofs verify: the follower is a real replica,
-	// not a proxy.
-	vc := NewVerifyingClient(followerURL)
-	res, err := vc.Get("w", "a")
-	if err != nil {
-		t.Fatal(err)
+	if got := learner.node.Status().ForwardsTotal; got != 3 {
+		t.Errorf("learner proxied %d writes, want 3", got)
 	}
-	if !res.Found || string(res.Record.Value) != "1" {
-		t.Errorf("follower read = %+v", res)
+	// The write landed on the owner...
+	res, err := voter.g.Do("w", []Op{{Type: "read", Key: "a"}})
+	if err != nil || !res[0].Found || string(res[0].Value) != "2" {
+		t.Fatalf("owner read after learner write = %+v (err %v)", res, err)
 	}
-	health, err := NewClient(followerURL).Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if health.Follower != leaderSrv.URL {
-		t.Errorf("healthz follower = %q", health.Follower)
-	}
-}
-
-// TestClientAutoFollowsLeader: a Client pointed at a follower must land its
-// writes on the leader by following the Leader header exactly once.
-func TestClientAutoFollowsLeader(t *testing.T) {
-	leader := NewGateway()
-	defer leader.Close()
-	leaderSrv := httptest.NewServer(NewHandler(leader))
-	defer leaderSrv.Close()
-
-	_, f, followerURL := startFollowerNode(t, leaderSrv.URL)
-
-	c := NewClient(followerURL)
-	if err := c.CreateFeed(FeedConfig{ID: "auto", Shards: 2, EpochOps: 1}); err != nil {
-		t.Fatalf("create via follower: %v", err)
-	}
-	results, err := c.Do("auto", []Op{{Type: "write", Key: "k", Value: []byte("v")}})
-	if err != nil || len(results) != 1 {
-		t.Fatalf("ops via follower: %v (%d results)", err, len(results))
-	}
-	// The write landed on the leader, and replication brings it back to
-	// the follower.
-	if _, err := leader.Do("auto", []Op{{Type: "read", Key: "k"}}); err != nil {
-		t.Fatalf("write did not land on leader: %v", err)
-	}
-	if err := f.WaitConverged(30 * time.Second); err != nil {
-		t.Fatal(err)
+	// ...and reaches the learner only through its verified tail: the
+	// learner's replica is the owner's, anchor for anchor, and it never
+	// owned anything.
+	waitReplicated(t, voter, learner, "w")
+	for _, fp := range learner.node.Status().Feeds {
+		if fp.Owner == learner.url || (fp.Role != "follower" && fp.Role != "deleted") {
+			t.Errorf("learner took a role in %+v", fp)
+		}
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		res, err := NewVerifyingClient(followerURL).Get("auto", "k")
-		if err == nil && res.Found && string(res.Record.Value) == "v" {
+		res, err := NewVerifyingClient(learner.url).Get("w", "a")
+		if err == nil && res.Found && string(res.Record.Value) == "2" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("auto-followed write never replicated back (err %v)", err)
+			t.Fatalf("learner never served the verified write (last %+v, err %v)", res, err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	health, err := NewClient(learner.url).Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !health.OK || health.Cluster == nil || !health.Cluster.Learner {
+		t.Errorf("learner healthz = %+v", health)
+	}
+}
+
+// forwardedMarker stamps every request with the cluster hop marker, the
+// way a proxying node with a stale placement map would send it.
+type forwardedMarker struct{}
+
+func (forwardedMarker) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Set(cluster.ForwardedHeader, "1")
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClientAutoFollowsLeader: a Client pointed at a learner lands its
+// writes on the owner. Client originals are proxied by the learner; an
+// already-forwarded request gets 421 + Leader naming the owner, which the
+// client follows exactly once.
+func TestClientAutoFollowsLeader(t *testing.T) {
+	voter, learner := startLearnerPair(t, nil)
+
+	c := NewClient(learner.url)
+	if err := c.CreateFeed(FeedConfig{ID: "auto", Shards: 2, EpochOps: 1}); err != nil {
+		t.Fatalf("create via learner: %v", err)
+	}
+	results, err := c.Do("auto", []Op{{Type: "write", Key: "k", Value: []byte("v")}})
+	if err != nil || len(results) != 1 {
+		t.Fatalf("ops via learner: %v (%d results)", err, len(results))
+	}
+
+	// The 421 path: the learner refuses to proxy a second hop and names
+	// the owner; the client follows the Leader header to it.
+	marked := NewClient(learner.url)
+	marked.HTTP = &http.Client{Transport: forwardedMarker{}}
+	if err := marked.CreateFeed(FeedConfig{ID: "auto2", Shards: 1, EpochOps: 1}); err != nil {
+		t.Fatalf("create via 421: %v", err)
+	}
+	ownerIndex(t, []*testClusterNode{voter, learner}, "auto", 30*time.Second)
+	if _, err := marked.Do("auto", []Op{{Type: "write", Key: "k2", Value: []byte("v2")}}); err != nil {
+		t.Fatalf("ops via 421: %v", err)
+	}
+	if got := learner.node.Status().ForwardsTotal; got != 2 {
+		t.Errorf("learner proxied %d requests, want 2 (the marked ones are redirected)", got)
+	}
+
+	// Every write landed on the owner, and replication brings them back to
+	// the learner.
+	for _, key := range []string{"k", "k2"} {
+		res, err := voter.g.Do("auto", []Op{{Type: "read", Key: key}})
+		if err != nil || !res[0].Found {
+			t.Fatalf("write %s did not land on the owner: %+v (err %v)", key, res, err)
+		}
+	}
+	if _, err := voter.g.Stats("auto2"); err != nil {
+		t.Errorf("redirected create did not land on the owner: %v", err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		res, err := NewVerifyingClient(learner.url).Get("auto", "k2")
+		if err == nil && res.Found && string(res.Record.Value) == "v2" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("redirected write never replicated back (err %v)", err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// TestMetricsEndpoint scrapes /metrics on a leader and a follower.
+// TestMetricsEndpoint scrapes /metrics on a standalone gateway and on
+// both members of a voter+learner pair: every cluster node renders the
+// grub_repl_* gauges of the feeds it tails.
 func TestMetricsEndpoint(t *testing.T) {
-	leader := NewGateway()
-	defer leader.Close()
-	leaderSrv := httptest.NewServer(NewHandler(leader))
-	defer leaderSrv.Close()
-	if err := leader.CreateFeed(FeedConfig{ID: "m", Shards: 2, EpochOps: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leader.Do("m", []Op{{Type: "write", Key: "a", Value: []byte("1")}, {Type: "read", Key: "a"}}); err != nil {
-		t.Fatal(err)
-	}
-
 	scrape := func(url string) string {
 		resp, err := http.Get(url + "/metrics")
 		if err != nil {
@@ -261,47 +284,73 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		return readAll(t, resp)
 	}
+	load := func(g *Gateway) {
+		if err := g.CreateFeed(FeedConfig{ID: "m", Shards: 2, EpochOps: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Do("m", []Op{{Type: "write", Key: "a", Value: []byte("1")}, {Type: "read", Key: "a"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	out := scrape(leaderSrv.URL)
+	lone := NewGateway()
+	defer lone.Close()
+	loneSrv := httptest.NewServer(NewHandler(lone))
+	defer loneSrv.Close()
+	load(lone)
+	out := scrape(loneSrv.URL)
 	for _, want := range []string{
 		"grub_gateway_feeds 1",
-		"grub_repl_follower 0",
 		`grub_feed_ops_total{feed="m"} 2`,
 		`grub_feed_gas_total{feed="m"}`,
 		`grub_feed_delivered_total{feed="m"} 1`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("leader metrics missing %q:\n%s", want, out)
+			t.Errorf("standalone metrics missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "grub_repl_") {
+		t.Errorf("standalone gateway renders replication gauges:\n%s", out)
+	}
 
-	_, f, followerURL := startFollowerNode(t, leaderSrv.URL)
-	if err := f.WaitConverged(30 * time.Second); err != nil {
+	voter, learner := startLearnerPair(t, nil)
+	if err := NewClient(voter.url).CreateFeed(FeedConfig{ID: "m", Shards: 2, EpochOps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	out = scrape(followerURL)
-	for _, want := range []string{
-		"grub_repl_follower 1",
+	if _, err := NewClient(voter.url).Do("m", []Op{{Type: "write", Key: "a", Value: []byte("1")}}); err != nil {
+		t.Fatal(err)
+	}
+	waitReplicated(t, voter, learner, "m")
+	wants := []string{
 		`grub_repl_lag{feed="m",shard="0"} 0`,
 		`grub_repl_lag{feed="m",shard="1"} 0`,
 		`grub_repl_state{feed="m",shard="0"} 0`,
 		`grub_repl_seq{feed="m",shard=`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("follower metrics missing %q:\n%s", want, out)
+		`grub_repl_leader_seq{feed="m",shard=`,
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for missing := wants; len(missing) > 0; {
+		out = scrape(learner.url)
+		missing = missing[:0:0]
+		for _, want := range wants {
+			if !strings.Contains(out, want) {
+				missing = append(missing, want)
+			}
 		}
+		if len(missing) > 0 && time.Now().After(deadline) {
+			t.Fatalf("learner metrics missing %q:\n%s", missing, out)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// The owner tails nothing, so it renders no per-shard tail gauges.
+	if out := scrape(voter.url); strings.Contains(out, `grub_repl_seq{`) {
+		t.Errorf("owner renders tail gauges for a feed it owns:\n%s", out)
 	}
 
-	// /repl/status mirrors the same health as JSON.
-	resp, err := http.Get(followerURL + "/repl/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var status ReplStatusResponse
-	err = json.NewDecoder(resp.Body).Decode(&status)
-	resp.Body.Close()
-	if err != nil || !status.Follower || status.Leader != leaderSrv.URL || len(status.Feeds) != 1 {
-		t.Errorf("repl status = %+v (err %v)", status, err)
+	// /cluster/status carries the same tail health as JSON.
+	st, err := (&cluster.Client{}).Status(learner.url)
+	if err != nil || !st.Learner || len(st.Feeds) != 1 || st.Feeds[0].Tail == nil || len(st.Feeds[0].Tail.Shards) != 2 {
+		t.Errorf("learner cluster status = %+v (err %v)", st, err)
 	}
 }
 

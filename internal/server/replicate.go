@@ -6,19 +6,21 @@ import (
 	"fmt"
 	"sort"
 
+	"grub/internal/obs"
 	"grub/internal/repl"
 	"grub/internal/shard"
 )
 
 // Replication: every gateway serves the log-shipping surface (it can lead
-// followers without any configuration), and any gateway can replicate into
-// itself as a follower via ReplTarget + repl.Follower (grubd -follow). The
-// per-shard mechanics — the anchored in-memory log, the verified apply and
-// the bootstrap reset — live in internal/shard; the protocol and the tailer
-// live in internal/repl. This file adapts the gateway between them.
+// replicas without any configuration), and a cluster node replicates the
+// feeds it does not own into its gateway through repl.FeedTails driving the
+// ClusterLocal adapter. The per-shard mechanics — the anchored in-memory
+// log, the verified apply and the bootstrap reset — live in internal/shard;
+// the protocol and the tail live in internal/repl. This file adapts the
+// gateway between them.
 
-// ReplConfigs returns every hosted feed's config, sorted by ID — the
-// follower bootstrap surface (GET /repl/feeds).
+// ReplConfigs returns every hosted feed's config, sorted by ID — the tail
+// bootstrap surface (GET /repl/feeds).
 func (g *Gateway) ReplConfigs() []FeedConfig {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -70,18 +72,12 @@ func wrapShardErr(id string, err error) error {
 	return fmt.Errorf("%w: %v", ErrBadConfig, err)
 }
 
-// ReplTarget adapts the gateway into the repl.Target a Follower replicates
-// into.
-func (g *Gateway) ReplTarget() repl.Target { return replTarget{g} }
-
-type replTarget struct{ g *Gateway }
-
 // EnsureFeed creates the feed the leader's config describes, or adopts a
-// local feed (typically recovered from the follower's own data directory)
+// local feed (typically recovered from the replica's own data directory)
 // when its config matches exactly. A config mismatch is an error: silently
 // replicating a leader's log into a differently-configured engine could
 // only end in a divergence halt later.
-func (t replTarget) EnsureFeed(id string, raw json.RawMessage) error {
+func (t clusterLocal) EnsureFeed(id string, raw json.RawMessage) error {
 	var cfg FeedConfig
 	if err := json.Unmarshal(raw, &cfg); err != nil {
 		return fmt.Errorf("server: decode leader feed config: %w", err)
@@ -108,9 +104,13 @@ func (t replTarget) EnsureFeed(id string, raw json.RawMessage) error {
 }
 
 // Feed resolves a hosted feed's replication interface.
-func (t replTarget) Feed(id string) (repl.Feed, error) {
+func (t clusterLocal) Feed(id string) (repl.Feed, error) {
 	return t.g.lookup(id)
 }
+
+// Pipeline hands tails the gateway's stage histograms, so their
+// follower_fetch and follower_verify observations land in the same scrape.
+func (t clusterLocal) Pipeline() *obs.Pipeline { return t.g.Pipeline() }
 
 // configOf returns a hosted feed's config.
 func (g *Gateway) configOf(id string) (FeedConfig, bool) {

@@ -267,10 +267,9 @@ type Gateway struct {
 // Metrics returns the gateway's metrics registry (GET /metrics renders it).
 func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 
-// Pipeline returns the gateway's per-feed stage-latency histograms. A
-// follower replicating into this gateway should observe its fetch/verify
-// stages here (grubd wires repl.Options.Pipeline to it) so one scrape
-// covers the whole node.
+// Pipeline returns the gateway's per-feed stage-latency histograms. Cluster
+// tails replicating into this gateway observe their fetch/verify stages
+// here (through ClusterLocal) so one scrape covers the whole node.
 func (g *Gateway) Pipeline() *obs.Pipeline { return g.pipeline }
 
 // Load returns the gateway's per-feed load tracker (ops/gas throughput

@@ -127,7 +127,7 @@ func (l *replLog) page(from uint64, max int) repl.LogPage {
 	return p
 }
 
-// Compile-time check: ShardedFeed is the engine a repl.Follower replicates
+// Compile-time check: ShardedFeed is the engine a repl.FeedTail replicates
 // into.
 var _ repl.Feed = (*ShardedFeed)(nil)
 
