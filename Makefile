@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race flake-gate vet fmt-check bench-smoke bench-full fuzz-smoke docs-check check clean
+.PHONY: all build test race flake-gate vet fmt-check bench-smoke bench-full fuzz-smoke docs-check perfbench-check check clean
 
 all: check
 
@@ -53,12 +53,17 @@ bench-full:
 #   - kvstore SSTables: corrupted/truncated table bytes must error at open,
 #     never panic or serve wrong values;
 #   - kvstore bloom filters: malformed encodings must decode-error or answer
-#     membership safely.
+#     membership safely;
+#   - binary feed snapshots (feed bytes and whole shard snapshot records):
+#     malformed input must decode-error, never panic or over-allocate. Its
+#     seeds are whole snapshots, so minimizing a new input at the default
+#     60s would eat the budget; it is capped at 10 runs.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/ads -run '^$$' -fuzz FuzzSetOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzSSTableOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzBloomDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzDecodeFeedSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 # Docs gate: relative markdown links in README.md and docs/ must resolve,
 # docs/API.md must document every route registered on the gateway mux, and
@@ -69,7 +74,13 @@ fuzz-smoke:
 docs-check:
 	$(GO) run ./tools/docscheck
 
-check: build vet fmt-check race flake-gate bench-smoke docs-check
+# The benchmark (perfbench/) is its own Go module, so the root build and
+# tests do not cover it: vet and test it on its own, with the environment
+# perfbench/run.sh builds it under.
+perfbench-check:
+	cd perfbench && GOWORK=off GOFLAGS= $(GO) vet ./... && GOWORK=off GOFLAGS= $(GO) test ./...
+
+check: build vet fmt-check race flake-gate bench-smoke docs-check perfbench-check
 
 clean:
 	$(GO) clean ./...

@@ -299,7 +299,9 @@ func TestCloneIsStableSnapshot(t *testing.T) {
 
 func TestDOSPRootAgreement(t *testing.T) {
 	// The DO and SP maintain independent Set instances; identical
-	// operation sequences must produce identical roots.
+	// operation sequences must produce identical roots. A set bulk-built
+	// from the records (NewSetSorted, the snapshot restore path) must
+	// reproduce the same root and proofs.
 	f := func(seed uint64) bool {
 		do, sp := NewSet(), NewSet()
 		r := sim.NewRand(seed)
@@ -322,11 +324,42 @@ func TestDOSPRootAgreement(t *testing.T) {
 			if do.Root() != sp.Root() {
 				return false
 			}
+			bulk, err := NewSetSorted(do.Records())
+			if err != nil || bulk.Root() != do.Root() {
+				return false
+			}
+			if do.Len() > 0 {
+				k := do.Records()[r.Intn(do.Len())].Key
+				_, p1, _ := do.ProveKey(k)
+				_, p2, _ := bulk.ProveKey(k)
+				if fmt.Sprint(p1) != fmt.Sprint(p2) {
+					return false
+				}
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewSetSortedRejectsBadOrder: the bulk builder takes snapshot input,
+// so records out of (state, key) order, repeated, or present in both
+// replication groups are refused rather than built into a malformed tree.
+func TestNewSetSortedRejectsBadOrder(t *testing.T) {
+	for name, recs := range map[string][]Record{
+		"descending keys": {rec("b", NR, "1"), rec("a", NR, "2")},
+		"repeated key":    {rec("a", NR, "1"), rec("a", NR, "2")},
+		"R before NR":     {rec("a", R, "1"), rec("b", NR, "2")},
+		"in both groups":  {rec("a", NR, "1"), rec("c", NR, "1"), rec("b", R, "2"), rec("c", R, "3")},
+	} {
+		if _, err := NewSetSorted(recs); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if s, err := NewSetSorted(nil); err != nil || s.Root() != NewSet().Root() {
+		t.Errorf("empty input: %v", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"grub/internal/binenc"
 	"grub/internal/merkle"
 )
 
@@ -62,6 +63,16 @@ func (r Record) Encode() []byte {
 	buf = append(buf, r.Key...)
 	buf = append(buf, r.Value...)
 	return buf
+}
+
+// ReadState reads one replication-state byte from a binary snapshot,
+// failing r on values other than NR and R.
+func ReadState(r *binenc.Reader) State {
+	st := State(r.Byte())
+	if st != NR && st != R {
+		r.Fail(fmt.Errorf("ads: bad replication state %d", st))
+	}
+	return st
 }
 
 // Leaf returns the record's Merkle leaf hash.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"iter"
 
 	"grub/internal/merkle"
 )
@@ -182,6 +183,69 @@ func lookup(n *node, st State, key string) (*node, int, bool) {
 // NewSet returns an empty set.
 func NewSet() *Set { return &Set{} }
 
+// NewSetSorted builds a set from records given in strictly increasing
+// (state, key) order, as Records returns them, in O(n): the treap is linked
+// in one left-to-right pass (the shape is a Cartesian tree over the
+// priorities) and every node is hashed once, bottom-up, instead of once
+// per path copy as n Puts would. The shape depends only on the key set, so
+// the result — tree and Root — is identical to inserting the records one by
+// one. Values are copied. Records out of order, or a key present in both
+// groups, are an error.
+func NewSetSorted(recs []Record) (*Set, error) {
+	split := len(recs) // first R record
+	stack := make([]*node, 0, 64)
+	for i, rec := range recs {
+		if i > 0 {
+			if p := recs[i-1]; !less(p.State, p.Key, rec.State, rec.Key) {
+				return nil, fmt.Errorf("ads: record %d (%q) out of (state, key) order", i, rec.Key)
+			}
+		}
+		if rec.State == R && split == len(recs) {
+			split = i
+		}
+		rec.Value = append([]byte(nil), rec.Value...)
+		n := &node{rec: rec, prio: prioOf(rec.State, rec.Key)}
+		var last *node
+		for len(stack) > 0 && higher(n, stack[len(stack)-1]) {
+			last = stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+		}
+		n.left = last
+		if len(stack) > 0 {
+			stack[len(stack)-1].right = n
+		}
+		stack = append(stack, n)
+	}
+	// Both groups are key-sorted: one merge pass finds a key in both.
+	for i, j := 0, split; i < split && j < len(recs); {
+		switch a, b := recs[i].Key, recs[j].Key; {
+		case a == b:
+			return nil, fmt.Errorf("ads: key %q present in both replication groups", a)
+		case a < b:
+			i++
+		default:
+			j++
+		}
+	}
+	if len(stack) == 0 {
+		return NewSet(), nil
+	}
+	seal(stack[0])
+	return &Set{root: stack[0]}, nil
+}
+
+// seal fills in the sizes and hashes of a freshly linked subtree, children
+// first. Nodes are immutable once sealed.
+func seal(n *node) {
+	if n == nil {
+		return
+	}
+	seal(n.left)
+	seal(n.right)
+	n.size = size(n.left) + 1 + size(n.right)
+	n.hash = merkle.HashInner(merkle.HashInner(hashOf(n.left), n.rec.Leaf()), hashOf(n.right))
+}
+
 // Len returns the number of records.
 func (s *Set) Len() int { return size(s.root) }
 
@@ -209,17 +273,28 @@ func (s *Set) Get(key string) (Record, bool) {
 // Records returns all records in (state, key) order.
 func (s *Set) Records() []Record {
 	out := make([]Record, 0, s.Len())
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		out = append(out, n.rec)
-		walk(n.right)
+	for rec := range s.All() {
+		out = append(out, rec)
 	}
-	walk(s.root)
 	return out
+}
+
+// All iterates the records in (state, key) order by walking the tree, with
+// no slice of the whole set. Yielded values share the set's immutable
+// storage and must not be modified.
+func (s *Set) All() iter.Seq[Record] {
+	return func(yield func(Record) bool) { walk(s.root, yield) }
+}
+
+// walk yields the subtree's records in order, reporting whether the
+// consumer wants more.
+func walk(n *node, yield func(Record) bool) bool {
+	for ; n != nil; n = n.right {
+		if !walk(n.left, yield) || !yield(n.rec) {
+			return false
+		}
+	}
+	return true
 }
 
 // Put inserts or updates key with the given value and state. If the record

@@ -42,6 +42,25 @@ func NewMemSP() *SP { return &SP{set: NewSet()} }
 // watchdog).
 func (sp *SP) Set() *Set { return sp.set }
 
+// Load replaces the SP's record set with set — an O(1) frozen clone, so the
+// SP shares set's immutable nodes — and writes every record to the backend
+// in one batch when one is attached. Snapshot restore uses it to install
+// the record set the DO side already built.
+func (sp *SP) Load(set *Set) error {
+	sp.set = set.Clone()
+	if sp.db == nil {
+		return nil
+	}
+	b := kvstore.NewBatch()
+	for rec := range set.All() {
+		b.Put([]byte(rec.Key), rec.Encode())
+	}
+	if err := sp.db.Write(b); err != nil {
+		return fmt.Errorf("ads: persist loaded set: %w", err)
+	}
+	return nil
+}
+
 // Put applies a record write, persisting it if a backend is attached.
 func (sp *SP) Put(rec Record) error {
 	sp.set.Put(rec)

@@ -163,13 +163,18 @@ func TestPersistSmoke(t *testing.T) {
 	if err := e.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"memory.opsPerSec", "wal.opsPerSec", "recovery.snapshot.ms"} {
+	for _, name := range []string{"memory.opsPerSec", "wal.opsPerSec", "recovery.snapshot.ms",
+		"snapshot.msPer1kRecords", "snapshot.bytesPer1kRecords"} {
 		if _, ok := metrics[name]; !ok {
 			t.Errorf("metric %s missing: %v", name, metrics)
 		}
 	}
+	if metrics["snapshot.bytesPer1kRecords"] <= 0 || metrics["snapshot.msPer1kRecords"] <= 0 {
+		t.Errorf("snapshot cost not measured: %v", metrics)
+	}
 	out := buf.String()
-	if !strings.Contains(out, "WAL overhead") || !strings.Contains(out, "recovery") {
+	if !strings.Contains(out, "WAL overhead") || !strings.Contains(out, "recovery") ||
+		!strings.Contains(out, "per 1k records") {
 		t.Errorf("persist report incomplete:\n%s", out)
 	}
 }

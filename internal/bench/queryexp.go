@@ -16,6 +16,9 @@ import (
 	"grub/internal/workload/ycsb"
 )
 
+// minQueryPhase is the shortest measured read phase.
+const minQueryPhase = 100 * time.Millisecond
+
 // RunQuery measures the authenticated read path against the worker read
 // path on the same sharded feed, under a sustained concurrent write load in
 // both phases. Worker-path reads serialize through the per-shard
@@ -84,42 +87,65 @@ func RunQuery(cfg Config) error {
 		}
 	}
 
-	fmt.Fprintf(cfg.W, "query: verified-read vs worker-path read, %d readers x %d reads (%d records, %d shards, writes sustained)\n\n",
-		readers, readsPer, records, shards)
+	// phase runs the readers concurrently under a sustained write load.
+	// Each reader repeats rounds until minQueryPhase has elapsed — a fixed
+	// op count finishes in about a millisecond at smoke scale, too short to
+	// compare the two paths — and phase returns the ops completed and the
+	// elapsed time.
+	phase := func(seedMul uint64, round func(r *sim.Rand) error) (int, time.Duration, error) {
+		stop := startWrites()
+		var (
+			wg  sync.WaitGroup
+			ops atomic.Int64
+		)
+		errc := make(chan error, readers)
+		start := time.Now()
+		for ri := 0; ri < readers; ri++ {
+			wg.Add(1)
+			go func(ri int) {
+				defer wg.Done()
+				r := sim.NewRand(cfg.Seed + uint64(ri+1)*seedMul)
+				for first := true; first || time.Since(start) < minQueryPhase; first = false {
+					if err := round(r); err != nil {
+						errc <- err
+						return
+					}
+					ops.Add(int64(readsPer))
+				}
+			}(ri)
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		close(errc)
+		if err := stop(); err != nil {
+			return 0, 0, err
+		}
+		for err := range errc {
+			return 0, 0, err
+		}
+		return int(ops.Load()), elapsed, nil
+	}
+
+	fmt.Fprintf(cfg.W, "query: verified-read vs worker-path read, %d readers x rounds of %d reads for >= %v (%d records, %d shards, writes sustained)\n\n",
+		readers, readsPer, minQueryPhase, records, shards)
 	fmt.Fprintf(cfg.W, "%-16s %10s %12s %12s %14s\n", "path", "ops", "elapsed", "ops/sec", "proof B/op")
 
 	// Phase 1: worker-path reads (batched through Do, like any client).
-	stop := startWrites()
-	var wg sync.WaitGroup
-	werrc := make(chan error, readers)
-	start := time.Now()
-	for ri := 0; ri < readers; ri++ {
-		wg.Add(1)
-		go func(ri int) {
-			defer wg.Done()
-			r := sim.NewRand(cfg.Seed + uint64(ri+1)*7919)
-			for b := 0; b < batches; b++ {
-				ops := make([]core.Op, batchOps)
-				for i := range ops {
-					ops[i] = core.Op{Type: "read", Key: keys[r.Intn(len(keys))]}
-				}
-				if _, err := sf.Do(ops); err != nil {
-					werrc <- err
-					return
-				}
+	workerOps, workerElapsed, err := phase(7919, func(r *sim.Rand) error {
+		for b := 0; b < batches; b++ {
+			ops := make([]core.Op, batchOps)
+			for i := range ops {
+				ops[i] = core.Op{Type: "read", Key: keys[r.Intn(len(keys))]}
 			}
-		}(ri)
-	}
-	wg.Wait()
-	close(werrc)
-	workerElapsed := time.Since(start)
-	if err := stop(); err != nil {
+			if _, err := sf.Do(ops); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	for err := range werrc {
-		return err
-	}
-	workerOps := readers * readsPer
 	workerRate := float64(workerOps) / workerElapsed.Seconds()
 	fmt.Fprintf(cfg.W, "%-16s %10d %12v %12.0f %14s\n",
 		"worker", workerOps, workerElapsed.Round(time.Millisecond), workerRate, "-")
@@ -128,42 +154,26 @@ func RunQuery(cfg Config) error {
 	// a missing key, exercising absence proofs).
 	engine := sf.Engine()
 	var proofBytes atomic.Int64
-	stop = startWrites()
-	verrc := make(chan error, readers)
-	start = time.Now()
-	for ri := 0; ri < readers; ri++ {
-		wg.Add(1)
-		go func(ri int) {
-			defer wg.Done()
-			r := sim.NewRand(cfg.Seed + uint64(ri+1)*104729)
-			for i := 0; i < readsPer; i++ {
-				key := keys[r.Intn(len(keys))]
-				if i%4 == 3 {
-					key = fmt.Sprintf("ghost-%d", r.Intn(1<<16))
-				}
-				res, err := engine.Get(key)
-				if err != nil {
-					verrc <- err
-					return
-				}
-				if err := query.VerifyGet(key, res); err != nil {
-					verrc <- fmt.Errorf("verified read rejected: %w", err)
-					return
-				}
-				proofBytes.Add(int64(res.ProofBytes()))
+	verifiedOps, verifiedElapsed, err := phase(104729, func(r *sim.Rand) error {
+		for i := 0; i < readsPer; i++ {
+			key := keys[r.Intn(len(keys))]
+			if i%4 == 3 {
+				key = fmt.Sprintf("ghost-%d", r.Intn(1<<16))
 			}
-		}(ri)
-	}
-	wg.Wait()
-	close(verrc)
-	verifiedElapsed := time.Since(start)
-	if err := stop(); err != nil {
+			res, err := engine.Get(key)
+			if err != nil {
+				return err
+			}
+			if err := query.VerifyGet(key, res); err != nil {
+				return fmt.Errorf("verified read rejected: %w", err)
+			}
+			proofBytes.Add(int64(res.ProofBytes()))
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	for err := range verrc {
-		return err
-	}
-	verifiedOps := readers * readsPer
 	verifiedRate := float64(verifiedOps) / verifiedElapsed.Seconds()
 	bytesPerOp := float64(proofBytes.Load()) / float64(verifiedOps)
 	fmt.Fprintf(cfg.W, "%-16s %10d %12v %12.0f %14.0f\n",

@@ -11,11 +11,12 @@
 //   - the batch-op layer (ops.go): Op/OpResult/ApplyOps, the wire-level
 //     operation format shared by the gateway, the shard engine, the load
 //     drivers and sequential replays, and
-//   - the snapshot layer (snapshot.go): FeedSnapshot captures a feed's
-//     complete state at a quiescent point and RestoreFeed rebuilds a
-//     behaviorally identical feed from it, which is what makes the gateway's
-//     durability path (internal/shard persistence) exact rather than
-//     approximate.
+//   - the snapshot layer (snapshot.go): Feed.Snapshot encodes a feed's
+//     complete state at a quiescent point in one binary format,
+//     DecodeFeedSnapshot parses it into a FeedSnapshot and RestoreFeed
+//     rebuilds a behaviorally identical feed from that, which is what makes
+//     the gateway's durability path (internal/shard persistence) and the
+//     replication bootstrap exact rather than approximate.
 //
 // Everything in core is single-writer by design: a Feed must be driven from
 // one goroutine (the simulation is deterministic, which is what makes both

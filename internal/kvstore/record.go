@@ -34,11 +34,16 @@ const recordHeaderLen = 9
 
 // EncodeRecord frames payload as a typed record value.
 func EncodeRecord(kind RecordKind, seq uint64, payload []byte) []byte {
-	buf := make([]byte, recordHeaderLen+len(payload))
-	buf[0] = byte(kind)
-	binary.BigEndian.PutUint64(buf[1:recordHeaderLen], seq)
-	copy(buf[recordHeaderLen:], payload)
-	return buf
+	buf := AppendRecordHeader(make([]byte, 0, recordHeaderLen+len(payload)), kind, seq)
+	return append(buf, payload...)
+}
+
+// AppendRecordHeader appends a typed record's kind tag and sequence number
+// to dst; the caller appends the payload after it. Large payloads are built
+// in place this way instead of being copied by EncodeRecord.
+func AppendRecordHeader(dst []byte, kind RecordKind, seq uint64) []byte {
+	dst = append(dst, byte(kind))
+	return binary.BigEndian.AppendUint64(dst, seq)
 }
 
 // DecodeTypedRecord splits a typed record value into its parts. The payload

@@ -98,14 +98,17 @@ type LogPage struct {
 // state against (Root, Count) before installing it — catch-up is verified,
 // not trusted.
 type Snapshot struct {
-	Shard   int                `json:"shard"`
-	Seq     uint64             `json:"seq"`
-	Root    merkle.Hash        `json:"root"`
-	Count   int                `json:"count"`
-	Height  uint64             `json:"height"`
-	Feed    *core.FeedSnapshot `json:"feed"`
-	Ops     int                `json:"ops"`
-	BaseGas gas.Gas            `json:"baseGas"`
+	Shard  int         `json:"shard"`
+	Seq    uint64      `json:"seq"`
+	Root   merkle.Hash `json:"root"`
+	Count  int         `json:"count"`
+	Height uint64      `json:"height"`
+	// Feed is the encoded binary feed snapshot (core.DecodeFeedSnapshot),
+	// the same bytes a shard's durable snapshot record carries; base64 on
+	// the wire.
+	Feed    []byte  `json:"feed"`
+	Ops     int     `json:"ops"`
+	BaseGas gas.Gas `json:"baseGas"`
 }
 
 // DivergenceError reports an anchor check failure: the batch at Seq (or a

@@ -86,15 +86,16 @@ func (g *Gateway) DataDir() string { return g.opts.DataDir }
 
 // persistOptions builds one feed's shard-level persistence config (without
 // the Restore callback, which newShardedFeed attaches per config). Every
-// feed's stores share the gateway registry's grub_kv_* series —
-// kvstore.NewMetrics registration is idempotent, so repeated calls hand back
-// the same counters.
+// feed's stores share the gateway registry's grub_kv_* and
+// grub_persist_snapshot_* series — registration is idempotent, so repeated
+// calls hand back the same counters.
 func (g *Gateway) persistOptions(dir string) *shard.PersistOptions {
 	return &shard.PersistOptions{
 		Dir:           dir,
 		SnapshotEvery: g.opts.SnapshotEvery,
 		SyncWrites:    g.opts.SyncWrites,
 		Metrics:       kvstore.NewMetrics(g.reg),
+		Snapshots:     shard.NewSnapshotMetrics(g.reg),
 	}
 }
 

@@ -1,15 +1,20 @@
 package shard
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
+	"grub/internal/binenc"
 	"grub/internal/core"
 	"grub/internal/gas"
 	"grub/internal/kvstore"
+	"grub/internal/obs"
 	"grub/internal/repl"
 )
 
@@ -17,8 +22,9 @@ import (
 // directory. Applied op batches are appended to a durable log (one typed
 // RecordOps value per batch, keyed by sequence number, riding the engine's
 // write-ahead log), and snapshots compact the log: a RecordSnapshot value
-// carrying the shard's complete feed state (core.FeedSnapshot) plus its
-// counter metadata supersedes every log record at or below its sequence.
+// carrying the shard's counter metadata and its complete feed state (the
+// binary core feed snapshot) supersedes every log record at or below its
+// sequence.
 //
 // The discipline is log-then-apply: a batch is durable before it executes,
 // so after a crash the recovered state is exactly "a fresh feed replaying
@@ -48,6 +54,29 @@ type PersistOptions struct {
 	// across every shard store so the exported grub_kv_* series aggregate
 	// the whole process. Nil means unmetered.
 	Metrics *kvstore.Metrics
+	// Snapshots receives the node-level snapshot cost counters, shared
+	// the same way. Nil means unmetered.
+	Snapshots *SnapshotMetrics
+}
+
+// SnapshotMetrics counts what durable snapshots cost across every shard
+// store of a process: wall time spent snapshotting (encode, write, log
+// prune and checkpoint — the stall a batch that triggers an automatic
+// snapshot waits behind) and bytes written as snapshot records. Both are
+// O(1) series, not per feed. obs counters are nil-safe.
+type SnapshotMetrics struct {
+	Seconds *obs.Counter
+	Bytes   *obs.Counter
+}
+
+// NewSnapshotMetrics registers the snapshot counters on r. Registration is
+// idempotent: every call on one registry returns handles onto the same
+// series.
+func NewSnapshotMetrics(r *obs.Registry) *SnapshotMetrics {
+	return &SnapshotMetrics{
+		Seconds: r.NewCounter("grub_persist_snapshot_seconds_total", "Wall time spent taking durable feed snapshots (encode, write, log prune, checkpoint)."),
+		Bytes:   r.NewCounter("grub_persist_snapshot_bytes_total", "Bytes of durable feed snapshot records written."),
+	}
 }
 
 // PersistStat reports one shard's durability counters.
@@ -64,6 +93,12 @@ type PersistStat struct {
 	// replayable) while snapshots fail, so this is a health signal, not
 	// data loss.
 	LastError string `json:"lastError,omitempty"`
+	// LastSnapshotBytes is the size of the newest snapshot record this
+	// process wrote (0 before the first).
+	LastSnapshotBytes int `json:"lastSnapshotBytes"`
+	// SnapshotSeconds is the wall time this process has spent taking
+	// snapshots (encode, write, log prune, checkpoint).
+	SnapshotSeconds float64 `json:"snapshotSeconds"`
 }
 
 // PersistStats aggregates durability counters across shards.
@@ -84,14 +119,56 @@ func logKey(seq uint64) []byte {
 	return []byte(fmt.Sprintf("%s%016x", logKeyPrefix, seq))
 }
 
-// shardMeta is the metadata half of a snapshot record: the worker counters
-// that must survive alongside the feed state for stats continuity.
-type shardMeta struct {
-	Feed      *core.FeedSnapshot `json:"feed"`
-	Ops       int                `json:"ops"`
-	Batches   int                `json:"batches"`
-	BaseGas   gas.Gas            `json:"baseGas"`
-	Snapshots int                `json:"snapshots"`
+// A snapshot record's payload is a fixed header holding the worker counters
+// that must survive alongside the feed state for stats continuity, then the
+// feed snapshot itself (which starts with its format version byte):
+//
+//	uint64 ops | uint64 batches | uint64 baseGas | uint64 snapshots | feed snapshot
+//
+// All four header fields are big-endian.
+const snapHeaderLen = 32
+
+// encodeSnapshotRecord builds the complete snapshot record value (typed
+// record framing, header, feed snapshot) in one buffer. sizeHint is the
+// previous record's size: the buffer is allocated a little larger, so the
+// encoder fills it without regrowing.
+func encodeSnapshotRecord(st *shardState, seq uint64, snapshots, sizeHint int) ([]byte, error) {
+	rec := make([]byte, 0, sizeHint+sizeHint/8+64)
+	rec = kvstore.AppendRecordHeader(rec, kvstore.RecordSnapshot, seq)
+	rec = binary.BigEndian.AppendUint64(rec, uint64(st.ops))
+	rec = binary.BigEndian.AppendUint64(rec, uint64(st.batches))
+	rec = binary.BigEndian.AppendUint64(rec, uint64(st.base))
+	rec = binary.BigEndian.AppendUint64(rec, uint64(snapshots))
+	return st.feed.AppendSnapshot(rec)
+}
+
+// snapMeta is a decoded snapshot record header.
+type snapMeta struct {
+	ops, batches, snapshots int
+	base                    gas.Gas
+}
+
+// decodeSnapshotRecord splits a snapshot record payload into its header and
+// decoded feed snapshot. A record written by a JSON-era build, a truncated
+// record or a corrupt one is an error.
+func decodeSnapshotRecord(payload []byte) (snapMeta, *core.FeedSnapshot, error) {
+	if len(payload) > 0 && payload[0] == '{' {
+		return snapMeta{}, nil, errors.New("shard: snapshot record is in the JSON format of an earlier build; this build reads only the binary format")
+	}
+	r := binenc.NewReader(payload)
+	ops, batches, base, snaps := r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()
+	if r.Err() != nil {
+		return snapMeta{}, nil, fmt.Errorf("shard: snapshot record header: %w", r.Err())
+	}
+	const maxInt = uint64(^uint(0) >> 1)
+	if ops > maxInt || batches > maxInt || snaps > maxInt {
+		return snapMeta{}, nil, errors.New("shard: snapshot record header out of range")
+	}
+	fs, err := core.DecodeFeedSnapshot(payload[snapHeaderLen:])
+	if err != nil {
+		return snapMeta{}, nil, err
+	}
+	return snapMeta{ops: int(ops), batches: int(batches), snapshots: int(snaps), base: gas.Gas(base)}, fs, nil
 }
 
 // persister owns one shard's durable store. It is touched only by the
@@ -104,6 +181,13 @@ type persister struct {
 	loggedBatches int    // log records since the last snapshot
 	snapshots     int
 	sinceSnapshot int // applied batches since the last snapshot
+
+	// lastSnapBytes sizes the next snapshot's buffer (snapshots grow
+	// slowly), so encoding does not regrow it; the buffer itself is not
+	// kept between snapshots.
+	lastSnapBytes int
+	snapSeconds   float64
+	metrics       *SnapshotMetrics
 }
 
 func openPersister(opts PersistOptions, idx int) (*persister, error) {
@@ -116,6 +200,7 @@ func openPersister(opts PersistOptions, idx int) (*persister, error) {
 		db:            db,
 		snapshotEvery: opts.SnapshotEvery,
 		nextSeq:       1,
+		metrics:       opts.Snapshots,
 	}, nil
 }
 
@@ -138,23 +223,13 @@ func (p *persister) appendBatch(ops []core.Op) error {
 // snapshot persists the shard's complete state and compacts the log below
 // it. st is the worker's live accounting.
 func (p *persister) snapshot(st *shardState) error {
-	fs, err := st.feed.Snapshot()
+	start := time.Now()
+	lastSeq := p.nextSeq - 1
+	rec, err := encodeSnapshotRecord(st, lastSeq, p.snapshots+1, p.lastSnapBytes)
 	if err != nil {
 		return err
 	}
-	meta := shardMeta{
-		Feed:      fs,
-		Ops:       st.ops,
-		Batches:   st.batches,
-		BaseGas:   st.base,
-		Snapshots: p.snapshots + 1,
-	}
-	payload, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("shard: encode snapshot: %w", err)
-	}
-	lastSeq := p.nextSeq - 1
-	if err := p.db.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordSnapshot, lastSeq, payload)); err != nil {
+	if err := p.db.Put([]byte(snapKey), rec); err != nil {
 		return fmt.Errorf("shard: write snapshot: %w", err)
 	}
 	// Drop the superseded log records, then checkpoint: the memtable
@@ -183,6 +258,13 @@ func (p *persister) snapshot(st *shardState) error {
 	p.snapshots++
 	p.loggedBatches = 0
 	p.sinceSnapshot = 0
+	p.lastSnapBytes = len(rec)
+	secs := time.Since(start).Seconds()
+	p.snapSeconds += secs
+	if p.metrics != nil {
+		p.metrics.Seconds.Add(secs)
+		p.metrics.Bytes.Add(float64(len(rec)))
+	}
 	return nil
 }
 
@@ -233,7 +315,10 @@ func (p *persister) resetTo(st *shardState, seq uint64) error {
 }
 
 func (p *persister) stat() PersistStat {
-	return PersistStat{Snapshots: p.snapshots, LoggedBatches: p.loggedBatches, LastSeq: p.nextSeq - 1}
+	return PersistStat{
+		Snapshots: p.snapshots, LoggedBatches: p.loggedBatches, LastSeq: p.nextSeq - 1,
+		LastSnapshotBytes: p.lastSnapBytes, SnapshotSeconds: p.snapSeconds,
+	}
 }
 
 // recover loads the shard's durable state: the newest snapshot (if any)
@@ -254,19 +339,19 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		if kind != kvstore.RecordSnapshot {
 			return nil, fmt.Errorf("shard: snapshot key holds kind %d", kind)
 		}
-		var meta shardMeta
-		if err := json.Unmarshal(payload, &meta); err != nil {
-			return nil, fmt.Errorf("shard: decode snapshot: %w", err)
+		meta, fs, derr := decodeSnapshotRecord(payload)
+		if derr != nil {
+			return nil, fmt.Errorf("shard: decode snapshot: %w", derr)
 		}
 		if opts.Persist.Restore == nil {
 			return nil, fmt.Errorf("shard: store has a snapshot but no Restore callback is configured")
 		}
-		feed, err = opts.Persist.Restore(idx, meta.Feed)
+		feed, err = opts.Persist.Restore(idx, fs)
 		if err != nil {
 			return nil, fmt.Errorf("shard: restore feed: %w", err)
 		}
-		st = shardState{ops: meta.Ops, batches: meta.Batches, base: meta.BaseGas}
-		p.snapshots = meta.Snapshots
+		st = shardState{ops: meta.ops, batches: meta.batches, base: meta.base}
+		p.snapshots = meta.snapshots
 		lastSeq = seq
 	} else if err != kvstore.ErrNotFound {
 		return nil, fmt.Errorf("shard: read snapshot: %w", err)

@@ -206,7 +206,7 @@ func (s *ShardedFeed) ReplSnapshot(shard int) (*repl.Snapshot, error) {
 // stale or diverged history) is dropped and the snapshot becomes the new
 // durable base. It returns the shard's new cursor.
 func (s *ShardedFeed) Reset(shard int, snap *repl.Snapshot) (uint64, error) {
-	if snap == nil || snap.Feed == nil {
+	if snap == nil || len(snap.Feed) == 0 {
 		return 0, fmt.Errorf("shard: nil bootstrap snapshot")
 	}
 	r, err := s.replRequest(shard, request{kind: reqReplReset, snap: snap})

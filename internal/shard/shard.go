@@ -572,7 +572,11 @@ func (w *worker) resetReplicated(st *shardState, snap *repl.Snapshot) error {
 	if w.restore == nil {
 		return fmt.Errorf("shard: shard %d has no Restore callback for replication bootstrap", w.idx)
 	}
-	feed, err := w.restore(w.idx, snap.Feed)
+	fs, err := core.DecodeFeedSnapshot(snap.Feed)
+	if err != nil {
+		return fmt.Errorf("shard: decode bootstrap snapshot: %w", err)
+	}
+	feed, err := w.restore(w.idx, fs)
 	if err != nil {
 		return fmt.Errorf("shard: restore bootstrap snapshot: %w", err)
 	}
