@@ -14,11 +14,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Flake gate: ten race-enabled runs of the cluster create-then-write path
-# and of every learner test, so a regression that fails one run in two
+# Flake gate: ten race-enabled runs of the cluster create-then-write path,
+# of every learner test, and of the shard worker's replication,
+# persistence and divergence tests (the one batch path client, replicated
+# and recovered batches share), so a regression that fails one run in two
 # fails CI instead of slipping through a single pass.
 flake-gate:
 	$(GO) test -race -count=10 -run 'TestClusterMode|Learner' ./cmd/grubd ./internal/server
+	$(GO) test -race -count=10 -run 'Repl|Persist|Diverg' ./internal/shard
 
 vet:
 	$(GO) vet ./...

@@ -39,14 +39,9 @@ func RunPersist(cfg Config) error {
 		c := chain.New(sim.NewClock(0), chain.Params{BlockInterval: 1, PropagationDelay: 0, FinalityDepth: 2}, gas.DefaultSchedule())
 		return core.NewFeed(c, policy.NewMemoryless(2), core.Options{EpochOps: epochOps}), nil
 	}
-	persistOpts := func(dir string) *shard.PersistOptions {
-		return &shard.PersistOptions{
-			Dir: dir,
-			Restore: func(_ int, snap *core.FeedSnapshot) (*core.Feed, error) {
-				c := chain.New(sim.NewClock(0), chain.Params{BlockInterval: 1, PropagationDelay: 0, FinalityDepth: 2}, gas.DefaultSchedule())
-				return core.RestoreFeed(c, policy.NewMemoryless(2), core.Options{EpochOps: epochOps}, snap)
-			},
-		}
+	restore := func(_ int, snap *core.FeedSnapshot) (*core.Feed, error) {
+		c := chain.New(sim.NewClock(0), chain.Params{BlockInterval: 1, PropagationDelay: 0, FinalityDepth: 2}, gas.DefaultSchedule())
+		return core.RestoreFeed(c, policy.NewMemoryless(2), core.Options{EpochOps: epochOps}, snap)
 	}
 
 	hammer := func(sf *shard.ShardedFeed) (int, time.Duration, error) {
@@ -84,7 +79,7 @@ func RunPersist(cfg Config) error {
 
 	var memOps float64
 	for _, mode := range []string{"memory", "wal"} {
-		opts := shard.Options{Shards: shards}
+		opts := shard.Options{Shards: shards, Restore: restore}
 		var dir string
 		if mode == "wal" {
 			d, err := os.MkdirTemp("", "grub-persist-bench")
@@ -93,7 +88,7 @@ func RunPersist(cfg Config) error {
 			}
 			defer os.RemoveAll(d)
 			dir = d
-			opts.Persist = persistOpts(dir)
+			opts.Persist = &shard.PersistOptions{Dir: dir}
 		}
 		sf, err := shard.New(opts, build)
 		if err != nil {
@@ -135,7 +130,7 @@ func RunPersist(cfg Config) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		opts := shard.Options{Shards: shards, Persist: persistOpts(dir)}
+		opts := shard.Options{Shards: shards, Restore: restore, Persist: &shard.PersistOptions{Dir: dir}}
 		sf, err := shard.New(opts, build)
 		if err != nil {
 			return err

@@ -41,7 +41,7 @@ func RunQuery(cfg Config) error {
 		c := chain.New(sim.NewClock(0), chain.Params{BlockInterval: 1, PropagationDelay: 0, FinalityDepth: 2}, gas.DefaultSchedule())
 		return core.NewFeed(c, policy.NewMemoryless(2), core.Options{EpochOps: 8}), nil
 	}
-	sf, err := shard.New(shard.Options{Shards: shards, Views: true}, build)
+	sf, err := shard.New(shard.Options{Shards: shards}, build)
 	if err != nil {
 		return err
 	}

@@ -47,8 +47,6 @@ var (
 	// ErrDivergence: a replicated batch (or bootstrap snapshot) produced
 	// state that disagrees with the leader's advertised anchor.
 	ErrDivergence = errors.New("repl: state diverged from leader anchor")
-	// ErrNotReplicating: the feed was built without replication hooks.
-	ErrNotReplicating = errors.New("repl: feed has no replication log")
 	// ErrSeqGap: a batch arrived out of order (its seq is not the shard's
 	// next). The tailer resynchronizes its cursor and refetches.
 	ErrSeqGap = errors.New("repl: replication sequence gap")

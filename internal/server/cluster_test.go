@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -588,5 +589,49 @@ func TestClusterMigration(t *testing.T) {
 	}
 	if got, lo, hi := st.Feed.Records, len(acked), len(acked)+len(unknown)+len(pads); got < lo || got > hi {
 		t.Fatalf("records = %d, want within [%d, %d] (no lost or duplicated ops)", got, lo, hi)
+	}
+}
+
+// TestForwardedUnknownFeedLeavesNoSeries: a non-owner forwards writes for
+// feeds nobody hosts to their ring owner, which answers 404. Client-chosen
+// IDs must not register metric series on the forwarding node: every unknown
+// feed would otherwise pin a full set of stage histograms in /metrics
+// forever.
+func TestForwardedUnknownFeedLeavesNoSeries(t *testing.T) {
+	nodes := startTestCluster(t, 2)
+	waitQuorum(t, nodes[0], true)
+	var ids []string
+	for i := 0; len(ids) < 20; i++ {
+		id := fmt.Sprintf("bogus-%03d", i)
+		if nodes[0].node.RouteWrite(id, 0, false).Kind == cluster.RouteForward {
+			ids = append(ids, id)
+		}
+	}
+	body := []byte(`{"ops":[{"type":"write","key":"k","value":"dg=="}]}`)
+	for _, id := range ids {
+		resp, err := http.Post(nodes[0].url+"/feeds/"+id+"/ops", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("write to unknown feed %s: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	for i, tn := range nodes {
+		resp, err := http.Get(tn.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		expo, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if bytes.Contains(expo, []byte(`feed="`+id+`"`)) {
+				t.Fatalf("node %d /metrics carries a series for unknown feed %s", i, id)
+			}
+		}
 	}
 }

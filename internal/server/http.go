@@ -204,6 +204,13 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// writeMisdirected answers 421 with msg, naming the node that accepts the
+// request in the Leader header (which Client follows) and in the body.
+func writeMisdirected(w http.ResponseWriter, leader, msg string) {
+	w.Header().Set("Leader", leader)
+	writeJSON(w, http.StatusMisdirectedRequest, errorBody{Error: msg, Leader: leader})
+}
+
 // decodeBody decodes a JSON POST body under the configured size cap,
 // translating an overrun into 413 rather than a generic decode failure. It
 // reports whether decoding succeeded (the error response is already written
@@ -238,10 +245,12 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 
 	// forwardOps proxies a batch to the feed's owner with trace stitching:
-	// the proxy round trip becomes a `forward` span (and feeds the feed's
-	// forward-stage histogram), the owner's spans merge in from the
-	// X-Grub-Spans response header, and an over-threshold round trip lands
-	// in this node's slow log as a single cross-node breakdown.
+	// the proxy round trip becomes a `forward` span, the owner's spans
+	// merge in from the X-Grub-Spans response header, and an
+	// over-threshold round trip lands in this node's slow log as a single
+	// cross-node breakdown. Only a batch the owner accepted (2xx) feeds the
+	// forward-stage histogram: the feed ID is client-chosen, and a series
+	// registered for every ID some owner 404s would never be freed.
 	forwardOps := func(w http.ResponseWriter, r *http.Request, feed string, body []byte, owner string, epoch uint64) {
 		var tr *obs.Trace
 		if traceID := r.Header.Get(obs.TraceHeader); traceID != "" || slow != nil {
@@ -250,9 +259,11 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			w.Header().Set(obs.TraceHeader, tr.ID())
 		}
 		start := time.Now()
-		forwardToOwner(w, r, body, owner, epoch, hc.Cluster.HTTPClient(), tr)
+		status := forwardToOwner(w, r, body, owner, epoch, hc.Cluster.HTTPClient(), tr)
 		dur := time.Since(start)
-		g.Pipeline().Feed(feed).GetForward().Observe(dur.Seconds())
+		if status >= 200 && status < 300 {
+			g.Pipeline().Feed(feed).GetForward().Observe(dur.Seconds())
+		}
 		tr.AddSpan(obs.StageForward, -1, start, dur)
 		if slow != nil && tr != nil {
 			var req BatchRequest
@@ -293,11 +304,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "cluster: " + rt.Reason, Leader: rt.Owner})
 			return true
 		case cluster.RouteMisdirected:
-			w.Header().Set("Leader", rt.Owner)
-			writeJSON(w, http.StatusMisdirectedRequest, errorBody{
-				Error:  fmt.Sprintf("cluster: feed %q is owned by %s", feed, rt.Owner),
-				Leader: rt.Owner,
-			})
+			writeMisdirected(w, rt.Owner, fmt.Sprintf("cluster: feed %q is owned by %s", feed, rt.Owner))
 			return true
 		}
 		return false
@@ -320,11 +327,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 					errorBody{Error: "cluster: no alive member to place feed on"})
 				return
 			case owner != hc.Cluster.Self() && r.Header.Get(cluster.ForwardedHeader) != "":
-				w.Header().Set("Leader", owner)
-				writeJSON(w, http.StatusMisdirectedRequest, errorBody{
-					Error:  fmt.Sprintf("cluster: feed %q places on %s", cfg.ID, owner),
-					Leader: owner,
-				})
+				writeMisdirected(w, owner, fmt.Sprintf("cluster: feed %q places on %s", cfg.ID, owner))
 				return
 			case owner != hc.Cluster.Self():
 				body, _ := json.Marshal(cfg)
@@ -718,11 +721,7 @@ func NewHandlerConfig(g *Gateway, hc HandlerConfig) http.Handler {
 		// Migration runs on the owner; any other node proxies one hop.
 		if e, ok := hc.Cluster.Placement(feed); ok && !e.Deleted && e.Owner != hc.Cluster.Self() {
 			if r.Header.Get(cluster.ForwardedHeader) != "" {
-				w.Header().Set("Leader", e.Owner)
-				writeJSON(w, http.StatusMisdirectedRequest, errorBody{
-					Error:  fmt.Sprintf("cluster: feed %q is owned by %s", feed, e.Owner),
-					Leader: e.Owner,
-				})
+				writeMisdirected(w, e.Owner, fmt.Sprintf("cluster: feed %q is owned by %s", feed, e.Owner))
 				return
 			}
 			body, _ := json.Marshal(req)

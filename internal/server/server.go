@@ -181,27 +181,23 @@ func NewShardedFeed(cfg FeedConfig) (*shard.ShardedFeed, error) {
 
 // newShardedFeed builds a feed's shard engine, durable when persist is
 // non-nil (in which case whatever state persist.Dir already holds is
-// recovered first). Every gateway feed publishes read views and keeps a
-// replication log: the authenticated read path (/feeds/{id}/get, /range,
-// /roots) and the log-shipping surface (/repl/*) are part of the serving
-// surface, not opt-ins — any gateway can lead followers. stages wires the
-// feed's pipeline-stage latency histograms (nil disables stage timing);
-// load wires the feed's ops/gas rate meter (nil disables load accounting).
+// recovered first). Like every ShardedFeed it publishes read views and
+// keeps a replication log, so the authenticated read path (/feeds/{id}/get,
+// /range, /roots) and the log-shipping surface (/repl/*) serve every feed
+// and any gateway can lead followers. stages wires the feed's
+// pipeline-stage latency histograms (nil disables stage timing); load wires
+// the feed's ops/gas rate meter (nil disables load accounting).
 func newShardedFeed(cfg FeedConfig, persist *shard.PersistOptions, replRetain int, stages *obs.FeedStages, load *obs.RateMeter) (*shard.ShardedFeed, error) {
 	if _, _, err := feedParts(cfg); err != nil {
 		return nil, err // reject bad configs before touching disk
 	}
-	restore := func(_ int, snap *core.FeedSnapshot) (*core.Feed, error) {
-		return RestoreFeedFromConfig(cfg, snap)
-	}
-	if persist != nil {
-		persist.Restore = restore
-	}
 	return shard.New(
 		shard.Options{
 			Shards: cfg.Shards, RecordTrace: cfg.RecordTrace,
-			Views: true, Persist: persist,
-			Repl: true, ReplRetain: replRetain, Restore: restore,
+			Persist: persist, ReplRetain: replRetain,
+			Restore: func(_ int, snap *core.FeedSnapshot) (*core.Feed, error) {
+				return RestoreFeedFromConfig(cfg, snap)
+			},
 			Stages: stages, Load: load,
 		},
 		func(int) (*core.Feed, error) { return NewFeed(cfg) },
@@ -417,11 +413,7 @@ func (g *Gateway) Query(id string) (*query.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := sf.Engine()
-	if e == nil {
-		return nil, fmt.Errorf("server: %w: feed %q has no query engine", ErrBadConfig, id)
-	}
-	return e, nil
+	return sf.Engine(), nil
 }
 
 // Snapshot forces an immediate durable snapshot of one feed (every shard

@@ -15,7 +15,6 @@ import (
 	"grub/internal/gas"
 	"grub/internal/kvstore"
 	"grub/internal/obs"
-	"grub/internal/repl"
 )
 
 // Persistence: each shard owns a kvstore.DB under the feed's data
@@ -44,11 +43,6 @@ type PersistOptions struct {
 	// SyncWrites fsyncs every log append. Off by default: the crash model
 	// of the tests is process death, not host death.
 	SyncWrites bool
-	// Restore rebuilds one shard's feed from a snapshot (same configuration
-	// the build callback uses, plus the snapshot's state). Required when
-	// Dir holds state from a previous process; the gateway supplies it from
-	// the feed's config.
-	Restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 	// Metrics receives the storage engine's telemetry (cache hits, bloom
 	// rejections, flush/compaction counts). The gateway shares one bundle
 	// across every shard store so the exported grub_kv_* series aggregate
@@ -321,13 +315,14 @@ func (p *persister) stat() PersistStat {
 	}
 }
 
-// recover loads the shard's durable state: the newest snapshot (if any)
-// restores the feed, and every log record above it replays through the
-// normal execution path. It returns the recovered shard state, with ops,
+// recoverShard loads the shard's durable state: the newest snapshot (if
+// any) restores the feed through Options.Restore, and every log record above
+// it replays through the worker's execute and commit steps. The store is
+// attached only after replay, so a replayed batch is neither logged again
+// nor auto-snapshotted. It returns the recovered shard state, with ops,
 // batches and base gas continuing from where the previous process stopped.
-func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Feed, error)) (*shardState, error) {
+func recoverShard(p *persister, w *worker, opts Options, build func(int) (*core.Feed, error)) (*shardState, error) {
 	var (
-		feed    *core.Feed
 		st      shardState
 		lastSeq uint64
 	)
@@ -343,38 +338,37 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		if derr != nil {
 			return nil, fmt.Errorf("shard: decode snapshot: %w", derr)
 		}
-		if opts.Persist.Restore == nil {
+		if w.restore == nil {
 			return nil, fmt.Errorf("shard: store has a snapshot but no Restore callback is configured")
 		}
-		feed, err = opts.Persist.Restore(idx, fs)
+		feed, err := w.restore(w.idx, fs)
 		if err != nil {
 			return nil, fmt.Errorf("shard: restore feed: %w", err)
 		}
-		st = shardState{ops: meta.ops, batches: meta.batches, base: meta.base}
+		st = shardState{feed: feed, ops: meta.ops, batches: meta.batches, base: meta.base}
 		p.snapshots = meta.snapshots
 		lastSeq = seq
 	} else if err != kvstore.ErrNotFound {
 		return nil, fmt.Errorf("shard: read snapshot: %w", err)
 	} else {
-		feed, err = build(idx)
+		feed, err := build(w.idx)
 		if err != nil {
 			return nil, err
 		}
-		st = shardState{base: feed.FeedGas()}
+		st = shardState{feed: feed, base: feed.FeedGas()}
 	}
-	st.feed = feed
-	if opts.Repl {
-		// The replication log restarts at the snapshot's sequence; every
-		// replayed batch below re-anchors into it, so a follower that was
-		// tailing this shard before the crash resumes without a snapshot
-		// bootstrap as long as its cursor is above the durable snapshot.
-		st.repl = newReplLog(opts.ReplRetain)
-		st.repl.reset(lastSeq)
-	}
+	st.record = opts.RecordTrace
+	// The replication log restarts at the snapshot's sequence; every
+	// replayed batch below commits into it, so a follower that was tailing
+	// this shard before the crash resumes without a snapshot bootstrap as
+	// long as its cursor is above the durable snapshot.
+	st.repl = newReplLog(opts.ReplRetain)
+	st.repl.reset(uint64(st.batches))
 
 	// Replay the log above the snapshot, in sequence order: the cursor-
 	// positioned iterator starts at the first retained record past the
 	// snapshot (the fixed-width hex key preserves numeric order).
+	var clk stageClock // inert: recovery is untimed
 	maxSeq := lastSeq
 	for it := p.db.NewIteratorFrom(logKey(lastSeq + 1)); it.Valid(); it.Next() {
 		key := string(it.Key())
@@ -392,21 +386,11 @@ func recoverShard(p *persister, idx int, opts Options, build func(int) (*core.Fe
 		if err := json.Unmarshal(payload, &ops); err != nil {
 			return nil, fmt.Errorf("shard: decode log record %q: %w", key, err)
 		}
-		results := core.ApplyOps(feed, ops)
-		st.ops += len(ops)
-		st.batches++
+		if _, err := st.execute(ops, &clk); err != nil {
+			return nil, err
+		}
+		w.commit(&st, ops, &clk)
 		p.loggedBatches++
-		if opts.RecordTrace {
-			st.trace = append(st.trace, ops...)
-			st.traceRes = append(st.traceRes, results...)
-		}
-		if st.repl != nil {
-			set := feed.DO.Set()
-			st.repl.append(repl.Entry{
-				Seq: seq, Ops: ops,
-				Root: set.Root(), Count: set.Len(), Height: feed.Chain.Height(),
-			})
-		}
 		if seq > maxSeq {
 			maxSeq = seq
 		}

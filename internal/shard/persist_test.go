@@ -9,11 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"grub/internal/chain"
 	"grub/internal/core"
-	"grub/internal/gas"
-	"grub/internal/policy"
-	"grub/internal/sim"
 	"grub/internal/workload/ycsb"
 )
 
@@ -26,14 +22,8 @@ func persistOptions(dir string, shards, snapshotEvery int, record bool) Options 
 	return Options{
 		Shards:      shards,
 		RecordTrace: record,
-		Persist: &PersistOptions{
-			Dir:           dir,
-			SnapshotEvery: snapshotEvery,
-			Restore: func(_ int, snap *core.FeedSnapshot) (*core.Feed, error) {
-				c := chain.New(sim.NewClock(0), chain.DefaultParams(), gas.DefaultSchedule())
-				return core.RestoreFeed(c, policy.NewMemoryless(2), core.Options{EpochOps: persistEpochOps}, snap)
-			},
-		},
+		Persist:     &PersistOptions{Dir: dir, SnapshotEvery: snapshotEvery},
+		Restore:     restoreTestFeed(persistEpochOps),
 	}
 }
 
@@ -367,5 +357,3 @@ func TestPersistSnapshotCompaction(t *testing.T) {
 		t.Errorf("Snapshot on in-memory feed = %v, want ErrNotPersistent", err)
 	}
 }
-
-var _ = gas.Gas(0) // keep the import: shard stats reason in gas units

@@ -7,26 +7,27 @@ import (
 	"grub/internal/repl"
 )
 
-// Replication hooks: with Options.Repl set, every shard keeps a bounded
-// in-memory replication log — each applied batch with its post-apply
-// (seq, root, count, height) anchor, the same anchor the query views
-// advertise — and accepts three extra worker requests:
+// Replication hooks: every shard keeps a bounded in-memory replication log —
+// each committed batch with its post-apply (seq, root, count, height)
+// anchor, the same anchor the query views advertise — and accepts three
+// extra worker requests:
 //
-//   - Apply: replay one batch shipped from a leader through the normal
-//     log-then-apply path, then verify the post-apply state against the
-//     leader's anchor. A mismatch is a divergence: the shard refuses the
-//     batch (rolling it back out of its durable log), halts replication for
-//     itself, and keeps serving its last verified view.
+//   - Apply: run one batch shipped from a leader through the execute step
+//     client batches take, then verify the post-apply state against the
+//     leader's anchor before committing it. A mismatch is a divergence: the
+//     shard refuses the batch (rolling it back out of its durable log),
+//     halts replication for itself, and keeps serving its last verified
+//     view.
 //   - Reset: replace the shard's state wholesale with a bootstrap snapshot,
 //     after verifying the restored state hashes to the snapshot's anchor.
 //   - ReplSnapshot: produce such a snapshot at the shard's current seq.
 //
 // The log is the leader-side serving surface (ShardedFeed.ReplPage); the
-// other three are the follower side. Any replicating feed can serve both
+// other three are the follower side. Every feed can serve both
 // roles, so followers chain.
 
-// DefaultReplRetain is the per-shard replication log size when Options.Repl
-// is set and ReplRetain is 0. A follower whose cursor falls more than this
+// DefaultReplRetain is the per-shard replication log size when
+// Options.ReplRetain is 0. A follower whose cursor falls more than this
 // many batches behind bootstraps from a snapshot instead.
 const DefaultReplRetain = 256
 
@@ -35,10 +36,6 @@ const DefaultReplRetain = 256
 // entry-count cap alone would let a few huge batches pin unbounded memory.
 // Whichever bound is hit first slides the floor.
 const DefaultReplRetainBytes = 16 << 20
-
-// ErrNotReplicating aliases repl.ErrNotReplicating: the feed was built
-// without Options.Repl.
-var ErrNotReplicating = repl.ErrNotReplicating
 
 // replLog is one shard's bounded in-memory replication log: a contiguous
 // window of anchored entries ending at lastSeq. The worker appends; HTTP
@@ -131,13 +128,11 @@ func (l *replLog) page(from uint64, max int) repl.LogPage {
 // into.
 var _ repl.Feed = (*ShardedFeed)(nil)
 
-// replLogOf returns a shard's replication log, or ErrNotReplicating.
+// replLogOf returns a shard's replication log, or an error for a shard out
+// of range.
 func (s *ShardedFeed) replLogOf(shard int) (*replLog, error) {
 	if shard < 0 || shard >= len(s.workers) {
 		return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", shard, len(s.workers))
-	}
-	if s.replLogs[shard] == nil {
-		return nil, ErrNotReplicating
 	}
 	return s.replLogs[shard], nil
 }
@@ -177,11 +172,11 @@ func (s *ShardedFeed) replRequest(shard int, req request) (response, error) {
 	return s.recv(w, resp)
 }
 
-// Apply replays one shipped batch on a shard through the normal
-// log-then-apply path and verifies the post-apply anchor. On divergence the
-// batch is rolled back out of the durable log, the shard's replication
-// halts (every later Apply returns the same DivergenceError), and the
-// last verified read view stays published.
+// Apply runs one shipped batch on a shard through the same execute and
+// commit steps client batches take, verifying the post-apply anchor in
+// between. On divergence the batch is rolled back out of the durable log,
+// the shard's replication halts (every later Apply returns the same
+// DivergenceError), and the last verified read view stays published.
 func (s *ShardedFeed) Apply(shard int, e repl.Entry) error {
 	r, err := s.replRequest(shard, request{kind: reqRepl, entry: &e})
 	if err != nil {

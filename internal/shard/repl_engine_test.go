@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -24,7 +25,7 @@ func restoreTestFeed(epochOps int) func(int, *core.FeedSnapshot) (*core.Feed, er
 func newReplicating(t *testing.T, n, epochOps int) *ShardedFeed {
 	t.Helper()
 	sf, err := New(
-		Options{Shards: n, Views: true, Repl: true, Restore: restoreTestFeed(epochOps)},
+		Options{Shards: n, Restore: restoreTestFeed(epochOps)},
 		func(int) (*core.Feed, error) { return newTestFeed(epochOps) },
 	)
 	if err != nil {
@@ -103,20 +104,114 @@ func assertSameRoots(t *testing.T, a, b *ShardedFeed) {
 	}
 }
 
-// TestReplicatedApplyMirrorsLeader ships a leader's log batch by batch into
-// a follower engine and checks the follower converges to identical
-// per-shard anchors (root, count, seq).
-func TestReplicatedApplyMirrorsLeader(t *testing.T) {
-	leader := newReplicating(t, 4, 8)
-	follower := newReplicating(t, 4, 8)
-	driveLeader(t, leader, 12)
-	ship(t, leader, follower)
-	assertSameRoots(t, leader, follower)
+// replState is what the three-way equivalence compares: every shard's
+// retained replication log and its executed-work accounting.
+type replState struct {
+	entries [][]repl.Entry
+	stats   []ShardStat
+}
 
-	// More writes, incremental ship from the follower's cursor.
-	driveLeader(t, leader, 5)
+func captureReplState(t *testing.T, sf *ShardedFeed) replState {
+	t.Helper()
+	var rs replState
+	for sh := 0; sh < sf.Shards(); sh++ {
+		page, err := sf.ReplPage(sh, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page.SnapshotRequired {
+			t.Fatalf("shard %d: log no longer retained from seq 0: %+v", sh, page)
+		}
+		rs.entries = append(rs.entries, page.Entries)
+	}
+	st, err := sf.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.stats = st.PerShard
+	return rs
+}
+
+func sameOps(a, b []core.Op) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Type != b[i].Type || a[i].Key != b[i].Key || a[i].ScanLen != b[i].ScanLen || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+func requireSameReplState(t *testing.T, label string, got, want replState) {
+	t.Helper()
+	if len(got.entries) != len(want.entries) || len(got.stats) != len(want.stats) {
+		t.Fatalf("%s: %d/%d shards, want %d/%d", label, len(got.entries), len(got.stats), len(want.entries), len(want.stats))
+	}
+	for sh := range want.entries {
+		g, w := got.entries[sh], want.entries[sh]
+		if len(g) != len(w) {
+			t.Fatalf("%s: shard %d logged %d batches, want %d", label, sh, len(g), len(w))
+		}
+		for i := range w {
+			if g[i].Seq != w[i].Seq || g[i].Root != w[i].Root || g[i].Count != w[i].Count ||
+				g[i].Height != w[i].Height || !sameOps(g[i].Ops, w[i].Ops) {
+				t.Fatalf("%s: shard %d entry %d differs:\n got %+v\nwant %+v", label, sh, i, g[i], w[i])
+			}
+		}
+		gs, ws := got.stats[sh], want.stats[sh]
+		if gs.Feed != ws.Feed || gs.Ops != ws.Ops || gs.Batches != ws.Batches {
+			t.Fatalf("%s: shard %d stats differ: got ops %d batches %d %+v, want ops %d batches %d %+v",
+				label, sh, gs.Ops, gs.Batches, gs.Feed, ws.Ops, ws.Batches, ws.Feed)
+		}
+	}
+}
+
+// TestReplicatedApplyMirrorsLeader runs one seeded batch stream three ways:
+// Do on a persistent leader, Apply on a follower shipped the leader's log
+// batch by batch (incrementally, from its cursor), and log replay after the
+// leader is killed and reopened. All three must reach identical replication
+// logs — every batch's seq and ops with the post-apply root, count and chain
+// height — and identical per-shard accounting (feed stats, ops, batches).
+func TestReplicatedApplyMirrorsLeader(t *testing.T) {
+	const shards = 4
+	dir := t.TempDir()
+	open := func() *ShardedFeed {
+		sf, err := New(persistOptions(dir, shards, 0, false), // no snapshots: reopen replays every batch
+			func(int) (*core.Feed, error) { return newTestFeed(persistEpochOps) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sf
+	}
+	leader := open()
+	follower := newReplicating(t, shards, persistEpochOps)
+	batches := persistBatches(24, 8, 7)
+	for i, b := range batches {
+		if _, err := leader.Do(b); err != nil {
+			t.Fatal(err)
+		}
+		if i == 15 {
+			ship(t, leader, follower)
+			assertSameRoots(t, leader, follower)
+		}
+	}
 	ship(t, leader, follower)
 	assertSameRoots(t, leader, follower)
+	want := captureReplState(t, leader)
+	for sh, es := range want.entries {
+		if len(es) == 0 {
+			t.Fatalf("shard %d executed no batches; the stream does not exercise it", sh)
+		}
+	}
+	requireSameReplState(t, "follower", captureReplState(t, follower), want)
+
+	leader.Kill()
+	recovered := open()
+	t.Cleanup(recovered.Close)
+	requireSameReplState(t, "recovered", captureReplState(t, recovered), want)
+	assertSameRoots(t, recovered, follower)
 }
 
 // TestReplicatedApplyDivergenceHalts flips one byte in a shipped batch: the
@@ -195,11 +290,7 @@ func TestDivergedShardNeverPersistsFork(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *ShardedFeed {
 		sf, err := New(
-			Options{
-				Shards: 1, Views: true, Repl: true,
-				Restore: restoreTestFeed(8),
-				Persist: &PersistOptions{Dir: dir, Restore: restoreTestFeed(8)},
-			},
+			Options{Shards: 1, Restore: restoreTestFeed(8), Persist: &PersistOptions{Dir: dir}},
 			func(int) (*core.Feed, error) { return newTestFeed(8) },
 		)
 		if err != nil {
@@ -324,7 +415,7 @@ func TestReplResetBootstrap(t *testing.T) {
 // the floor must be told to bootstrap.
 func TestReplRetainFloor(t *testing.T) {
 	sf, err := New(
-		Options{Shards: 1, Views: true, Repl: true, ReplRetain: 4, Restore: restoreTestFeed(8)},
+		Options{Shards: 1, ReplRetain: 4, Restore: restoreTestFeed(8)},
 		func(int) (*core.Feed, error) { return newTestFeed(8) },
 	)
 	if err != nil {
@@ -377,20 +468,6 @@ func TestReplLogByteBound(t *testing.T) {
 	}
 }
 
-// TestNonReplicatingFeed gates the entry points behind Options.Repl.
-func TestNonReplicatingFeed(t *testing.T) {
-	sf := newSharded(t, 2, 8, false)
-	if _, err := sf.Seq(0); !errors.Is(err, repl.ErrNotReplicating) {
-		t.Errorf("Seq on non-replicating feed: %v", err)
-	}
-	if _, err := sf.ReplPage(0, 0, 1); !errors.Is(err, repl.ErrNotReplicating) {
-		t.Errorf("ReplPage on non-replicating feed: %v", err)
-	}
-	if err := sf.Apply(0, repl.Entry{Seq: 1}); !errors.Is(err, repl.ErrNotReplicating) {
-		t.Errorf("Apply on non-replicating feed: %v", err)
-	}
-}
-
 // TestReplLogBoundaryContiguity sweeps every cursor across the retained
 // window: at or above the floor the served page must start exactly one past
 // the cursor (no gap, no overlap), strictly below it the log must answer
@@ -440,8 +517,6 @@ func TestReplRetainSnapshotPruneBoundary(t *testing.T) {
 	dir := t.TempDir()
 	mkLeader := func() *ShardedFeed {
 		opts := persistOptions(dir, 1, 6, false)
-		opts.Views = true
-		opts.Repl = true
 		opts.ReplRetain = 64
 		sf, err := New(opts, func(int) (*core.Feed, error) { return newTestFeed(persistEpochOps) })
 		if err != nil {

@@ -59,30 +59,19 @@ type Options struct {
 	// a recovered feed's trace restarts at the newest snapshot (earlier
 	// ops were compacted away).
 	RecordTrace bool
-	// Views publishes an immutable read view (frozen record set + ads
-	// root + chain height) per shard after every applied batch, served by
-	// Engine() — the authenticated read path (internal/query). Reads on
-	// that path never touch the shard workers. Publication is an O(1)
-	// root-pointer capture of the persistent record set.
-	Views bool
 	// Persist, when non-nil, backs every shard with a durable op log and
 	// snapshot store (see persist.go); New recovers whatever state the
 	// directory already holds.
 	Persist *PersistOptions
-	// Repl keeps a bounded in-memory replication log per shard (every
-	// applied batch with its post-apply anchor) and enables the
-	// Apply/Reset/ReplSnapshot replication entry points (see repl.go).
-	// Costs one root computation per batch — shared with the view clone
-	// when Views is also set, as on every gateway feed.
-	Repl bool
 	// ReplRetain caps the replication log length per shard (entries); 0
 	// means DefaultReplRetain. Followers further behind bootstrap from a
 	// snapshot.
 	ReplRetain int
-	// Restore rebuilds one shard's feed from a snapshot for the
-	// replication bootstrap path (Reset); it must wire the feed exactly as
-	// the build callback would, then install the snapshot state. Falls
-	// back to Persist.Restore when nil.
+	// Restore rebuilds one shard's feed from a snapshot: recovery uses it
+	// when the store holds one, and the replication bootstrap (Reset) to
+	// install a leader's. It must wire the feed exactly as the build
+	// callback would, then install the snapshot state. The gateway
+	// supplies it from the feed's config.
 	Restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 	// Stages, when non-nil, receives per-stage batch latency
 	// observations (mailbox wait, WAL persist, apply, repl append, view
@@ -201,12 +190,13 @@ type shardState struct {
 	// lifetime, including batches replayed during recovery.
 	ops      int
 	batches  int
+	record   bool // Options.RecordTrace: keep trace and traceRes
 	trace    []core.Op
 	traceRes []core.OpResult
 	persist  *persister // nil without persistence
-	// repl is the shard's in-memory replication log (nil without
-	// Options.Repl); diverged, once set, permanently refuses further
-	// replicated applies on this shard (follower role, anchor mismatch).
+	// repl is the shard's in-memory replication log; diverged, once set,
+	// permanently refuses further replicated applies on this shard
+	// (follower role, anchor mismatch).
 	repl     *replLog
 	diverged error
 	// persistErr holds the last automatic-snapshot failure. Auto-snapshot
@@ -301,11 +291,10 @@ type worker struct {
 	idx  int
 	mail chan request
 	done chan struct{}
-	// views, when non-nil, receives this shard's read view after every
-	// applied batch (Options.Views).
+	// views receives this shard's read view after every committed batch.
 	views *query.Engine
-	// restore rebuilds the shard's feed from a snapshot (replication
-	// bootstrap); nil disables Reset.
+	// restore is Options.Restore; nil refuses a store holding a snapshot
+	// and Reset.
 	restore func(shard int, snap *core.FeedSnapshot) (*core.Feed, error)
 }
 
@@ -316,9 +305,6 @@ type worker struct {
 // an O(1) root-pointer capture — publication cost is independent of the
 // record count, and any number of live views share structure.
 func (w *worker) publishView(st *shardState) {
-	if w.views == nil {
-		return
-	}
 	frozen := st.feed.DO.Set().Clone()
 	w.views.Publish(w.idx, query.NewView(w.idx, uint64(st.batches), st.feed.Chain.Height(), frozen))
 }
@@ -330,14 +316,52 @@ func (st *shardState) anchor() (root merkle.Hash, count int, height uint64) {
 	return set.Root(), set.Len(), st.feed.Chain.Height()
 }
 
-// commitBatch records an applied batch in the replication log (when
-// replicating) and publishes the shard's new read view. ops is the batch as
-// executed; seq is the shard's post-apply batch count.
-func (w *worker) commitBatch(st *shardState, ops []core.Op, clk *stageClock) {
-	if st.repl != nil {
-		root, count, height := st.anchor()
-		st.repl.append(repl.Entry{Seq: uint64(st.batches), Ops: ops, Root: root, Count: count, Height: height})
-		clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
+// A batch reaches a shard three ways: a client batch (Do), a batch shipped
+// from a leader (Apply), and a logged batch replayed by recovery. All three
+// move the shard through the same two steps, execute then commit, so the
+// owner, every replica and a recovered node reach the same digest by the
+// same code. The replicated path adds only its checks (the seq gap before
+// execute, the anchor compare with log rollback before commit). Recovery
+// only skips: it runs before the store, the stage histograms and the load
+// meter attach, so a replayed batch is not re-logged, timed, metered or
+// auto-snapshotted.
+
+// execute runs one batch: the WAL append when the shard is durable
+// (log-then-apply, so recovery replays exactly the logged prefix), the
+// apply, then the load meter, the op and batch counters and the trace.
+func (st *shardState) execute(ops []core.Op, clk *stageClock) ([]core.OpResult, error) {
+	if st.persist != nil {
+		if err := st.persist.appendBatch(ops); err != nil {
+			return nil, err
+		}
+		clk.mark(obs.StagePersist, clk.stages.GetPersist())
+	}
+	gasBefore := st.feed.FeedGas()
+	results := core.ApplyOps(st.feed, ops)
+	clk.mark(obs.StageApply, clk.stages.GetApply())
+	st.meterBatch(len(ops), gasBefore)
+	st.ops += len(ops)
+	st.batches++
+	if st.record {
+		st.trace = append(st.trace, ops...)
+		st.traceRes = append(st.traceRes, results...)
+	}
+	return results, nil
+}
+
+// commit makes an executed batch visible: the batch and its post-apply
+// anchor enter the replication log under the shard's new sequence, an
+// automatic snapshot runs when one is due, and the shard's read view is
+// republished.
+func (w *worker) commit(st *shardState, ops []core.Op, clk *stageClock) {
+	root, count, height := st.anchor()
+	st.repl.append(repl.Entry{Seq: uint64(st.batches), Ops: ops, Root: root, Count: count, Height: height})
+	clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
+	if st.persist != nil {
+		if err := st.persist.maybeSnapshot(st); err != nil {
+			st.persistErr = err
+		}
+		clk.skip() // compaction has no stage of its own
 	}
 	w.publishView(st)
 	clk.mark(obs.StagePublish, clk.stages.GetPublish())
@@ -347,7 +371,7 @@ func (w *worker) commitBatch(st *shardState, ops []core.Op, clk *stageClock) {
 // shard while the others sit idle.
 const mailboxDepth = 64
 
-func (w *worker) loop(st *shardState, record bool) {
+func (w *worker) loop(st *shardState) {
 	defer close(w.done)
 	for req := range w.mail {
 		switch req.kind {
@@ -399,7 +423,7 @@ func (w *worker) loop(st *shardState, record bool) {
 			req.resp <- response{stat: stat}
 		case reqRepl:
 			clk := newStageClock(st, req, w.idx)
-			req.resp <- response{err: w.applyReplicated(st, req.entry, record, &clk)}
+			req.resp <- response{err: w.applyReplicated(st, req.entry, &clk)}
 		case reqReplSnap:
 			snap, err := w.replSnapshot(st)
 			req.resp <- response{snap: snap, err: err}
@@ -441,76 +465,39 @@ func (w *worker) loop(st *shardState, record bool) {
 				continue
 			}
 			clk := newStageClock(st, req, w.idx)
-			if st.persist != nil {
-				// Log-then-apply: the batch is durable before it
-				// executes, so recovery replays exactly the logged
-				// prefix.
-				if err := st.persist.appendBatch(req.ops); err != nil {
-					req.resp <- response{err: err}
-					continue
-				}
-				clk.mark(obs.StagePersist, clk.stages.GetPersist())
-			}
-			gasBefore := st.feed.FeedGas()
-			results := core.ApplyOps(st.feed, req.ops)
-			clk.mark(obs.StageApply, clk.stages.GetApply())
-			st.meterBatch(len(req.ops), gasBefore)
-			st.ops += len(req.ops)
-			st.batches++
-			if record {
-				st.trace = append(st.trace, req.ops...)
-				st.traceRes = append(st.traceRes, results...)
-			}
-			if st.persist != nil {
-				if serr := st.persist.maybeSnapshot(st); serr != nil {
-					st.persistErr = serr
-				}
-				clk.skip() // compaction has no stage of its own
+			results, err := st.execute(req.ops, &clk)
+			if err != nil {
+				req.resp <- response{err: err}
+				continue
 			}
 			// Publish before acking so a client that saw its batch
 			// complete reads its own writes from the next view.
-			w.commitBatch(st, req.ops, &clk)
+			w.commit(st, req.ops, &clk)
 			req.resp <- response{results: results}
 		}
 	}
 }
 
-// applyReplicated replays one shipped batch through the same log-then-apply
-// path client batches take, then verifies the post-apply state against the
-// leader's anchor. On a mismatch the batch is rolled back out of the durable
-// log (it must not replay into recovered state), the shard halts replication
-// permanently, and the previously published view keeps serving — the shard
-// refuses to fork rather than serving unverified state. (A crash between
+// applyReplicated runs one shipped batch through the same execute step
+// client batches take, then verifies the post-apply state against the
+// leader's anchor before committing it. On a mismatch the batch is rolled
+// back out of the durable log (it must not replay into recovered state),
+// the shard halts replication permanently, and the previously published
+// view keeps serving — the shard refuses to fork rather than serving
+// unverified state. (A crash between
 // the log append and the rollback can leave the refused batch durable; the
 // next replicated apply after recovery re-detects the divergence.)
-func (w *worker) applyReplicated(st *shardState, e *repl.Entry, record bool, clk *stageClock) error {
-	if st.repl == nil {
-		return ErrNotReplicating
-	}
+func (w *worker) applyReplicated(st *shardState, e *repl.Entry, clk *stageClock) error {
 	if st.diverged != nil {
 		return st.diverged
 	}
 	if want := uint64(st.batches) + 1; e.Seq != want {
 		return fmt.Errorf("%w: shard %d expects seq %d, got %d", repl.ErrSeqGap, w.idx, want, e.Seq)
 	}
-	if st.persist != nil {
-		if err := st.persist.appendBatch(e.Ops); err != nil {
-			return err
-		}
-		clk.mark(obs.StagePersist, clk.stages.GetPersist())
+	if _, err := st.execute(e.Ops, clk); err != nil {
+		return err
 	}
-	gasBefore := st.feed.FeedGas()
-	results := core.ApplyOps(st.feed, e.Ops)
-	clk.mark(obs.StageApply, clk.stages.GetApply())
-	st.meterBatch(len(e.Ops), gasBefore)
-	st.ops += len(e.Ops)
-	st.batches++
-	if record {
-		st.trace = append(st.trace, e.Ops...)
-		st.traceRes = append(st.traceRes, results...)
-	}
-	root, count, _ := st.anchor()
-	if root != e.Root || count != e.Count {
+	if root, count, _ := st.anchor(); root != e.Root || count != e.Count {
 		div := &repl.DivergenceError{
 			Shard: w.idx, Seq: e.Seq,
 			WantRoot: e.Root, GotRoot: root,
@@ -524,16 +511,7 @@ func (w *worker) applyReplicated(st *shardState, e *repl.Entry, record bool, clk
 		}
 		return div
 	}
-	st.repl.append(*e)
-	clk.mark(obs.StageReplAppend, clk.stages.GetReplAppend())
-	if st.persist != nil {
-		if serr := st.persist.maybeSnapshot(st); serr != nil {
-			st.persistErr = serr
-		}
-		clk.skip()
-	}
-	w.publishView(st)
-	clk.mark(obs.StagePublish, clk.stages.GetPublish())
+	w.commit(st, e.Ops, clk)
 	clk.total(obs.StageFollowerApply, clk.stages.GetFollowerApply())
 	return nil
 }
@@ -542,9 +520,6 @@ func (w *worker) applyReplicated(st *shardState, e *repl.Entry, record bool, clk
 // current sequence. A diverged shard refuses: exporting its in-memory state
 // would hand the refused fork to chained followers.
 func (w *worker) replSnapshot(st *shardState) (*repl.Snapshot, error) {
-	if st.repl == nil {
-		return nil, ErrNotReplicating
-	}
 	if st.diverged != nil {
 		return nil, st.diverged
 	}
@@ -566,9 +541,6 @@ func (w *worker) replSnapshot(st *shardState) (*repl.Snapshot, error) {
 // and the current state stays). On success the shard's counters, replication
 // log and durable store all restart from the snapshot's sequence.
 func (w *worker) resetReplicated(st *shardState, snap *repl.Snapshot) error {
-	if st.repl == nil {
-		return ErrNotReplicating
-	}
 	if w.restore == nil {
 		return fmt.Errorf("shard: shard %d has no Restore callback for replication bootstrap", w.idx)
 	}
@@ -611,20 +583,20 @@ type ShardedFeed struct {
 	workers   []*worker
 	batches   atomic.Int64
 	closeOnce sync.Once
-	// engine serves the authenticated read path (nil unless
-	// Options.Views).
+	// engine serves the authenticated read path.
 	engine *query.Engine
-	// replLogs holds each shard's replication log (entries nil unless
-	// Options.Repl), index-aligned with workers. The logs stay readable
-	// after Close, like the engine views.
+	// replLogs holds each shard's replication log, index-aligned with
+	// workers. The logs stay readable after Close, like the engine views.
 	replLogs []*replLog
 	// stages mirrors Options.Stages (nil disables stage timing).
 	stages *obs.FeedStages
 }
 
-// Engine returns the feed's snapshot-isolated query engine, or nil when the
-// feed was built without Options.Views. The engine stays readable after
-// Close (views are immutable), serving whatever each shard last published.
+// Engine returns the feed's snapshot-isolated query engine: every shard
+// publishes an immutable read view (frozen record set, ads root, chain
+// height) after each committed batch, and reads on it never touch the shard
+// workers. The engine stays readable after Close (views are immutable),
+// serving whatever each shard last published.
 func (s *ShardedFeed) Engine() *query.Engine { return s.engine }
 
 // New builds a sharded feed with opts.Shards shards, constructing each
@@ -638,17 +610,11 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 	if n < 1 {
 		n = 1
 	}
-	s := &ShardedFeed{workers: make([]*worker, n), replLogs: make([]*replLog, n), stages: opts.Stages}
-	if opts.Views {
-		s.engine = query.NewEngine(n)
-		s.engine.SetProofHistogram(opts.Stages.GetProofBuild())
-	}
-	restore := opts.Restore
-	if restore == nil && opts.Persist != nil {
-		restore = opts.Persist.Restore
-	}
+	s := &ShardedFeed{workers: make([]*worker, n), replLogs: make([]*replLog, n), engine: query.NewEngine(n), stages: opts.Stages}
+	s.engine.SetProofHistogram(opts.Stages.GetProofBuild())
 	for i := 0; i < n; i++ {
-		st, err := newShardState(opts, i, build)
+		w := &worker{idx: i, mail: make(chan request, mailboxDepth), done: make(chan struct{}), views: s.engine, restore: opts.Restore}
+		st, err := newShardState(opts, w, build)
 		if err != nil {
 			for j := 0; j < i; j++ {
 				s.stopWorker(s.workers[j])
@@ -656,41 +622,38 @@ func New(opts Options, build func(shard int) (*core.Feed, error)) (*ShardedFeed,
 			return nil, err
 		}
 		s.replLogs[i] = st.repl
-		w := &worker{idx: i, mail: make(chan request, mailboxDepth), done: make(chan struct{}), views: s.engine, restore: restore}
 		s.workers[i] = w
 		// Initial view: reads (including absence proofs over the empty
 		// set, and recovered state after a restart) work before the
 		// first batch lands.
 		w.publishView(st)
-		go w.loop(st, opts.RecordTrace)
+		go w.loop(st)
 	}
 	return s, nil
 }
 
 // newShardState prepares one shard before its worker starts: fresh build in
-// the in-memory case, open-store-and-recover in the persistent case. With
-// replication enabled the shard's replication log starts at the recovered
-// sequence (recovery re-anchors every replayed batch into it).
-func newShardState(opts Options, idx int, build func(int) (*core.Feed, error)) (*shardState, error) {
+// the in-memory case, open-store-and-recover in the persistent case (the
+// replication log then starts at the recovered sequence: recovery commits
+// every replayed batch into it). Stage timing and the load meter attach
+// last, so recovery replay stays untimed and unmetered.
+func newShardState(opts Options, w *worker, build func(int) (*core.Feed, error)) (*shardState, error) {
+	var st *shardState
 	if opts.Persist == nil {
-		f, err := build(idx)
+		f, err := build(w.idx)
 		if err != nil {
 			return nil, err
 		}
-		st := &shardState{feed: f, base: f.FeedGas(), stages: opts.Stages, load: opts.Load}
-		if opts.Repl {
-			st.repl = newReplLog(opts.ReplRetain)
+		st = &shardState{feed: f, base: f.FeedGas(), record: opts.RecordTrace, repl: newReplLog(opts.ReplRetain)}
+	} else {
+		p, err := openPersister(*opts.Persist, w.idx)
+		if err != nil {
+			return nil, err
 		}
-		return st, nil
-	}
-	p, err := openPersister(*opts.Persist, idx)
-	if err != nil {
-		return nil, err
-	}
-	st, err := recoverShard(p, idx, opts, build)
-	if err != nil {
-		p.db.Close()
-		return nil, err
+		if st, err = recoverShard(p, w, opts, build); err != nil {
+			p.db.Close()
+			return nil, err
+		}
 	}
 	st.stages = opts.Stages
 	st.load = opts.Load

@@ -136,7 +136,7 @@ func TestRecoverRefusesBadSnapshotRecord(t *testing.T) {
 			if err := p.db.Put([]byte(snapKey), kvstore.EncodeRecord(kvstore.RecordSnapshot, 6, c.payload)); err != nil {
 				t.Fatal(err)
 			}
-			st, err := recoverShard(p, 0, opts, func(int) (*core.Feed, error) { return newTestFeed(persistEpochOps) })
+			st, err := recoverShard(p, &worker{restore: opts.Restore}, opts, func(int) (*core.Feed, error) { return newTestFeed(persistEpochOps) })
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("intact record: %v", err)
